@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -65,10 +64,6 @@ def _scenario(args: argparse.Namespace, **params: int) -> Scenario:
     ``--strict``: a failing dataset degrades (reports annotate coverage)
     instead of crashing the command.
     """
-    if getattr(args, "process_builds", None):
-        from repro.exec.procpool import ENV_FLAG
-
-        os.environ[ENV_FLAG] = args.process_builds
     scenario = Scenario(
         cache=_resolve_cache(args),
         strict=getattr(args, "strict", False),
@@ -621,14 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="prebuild all scenario datasets on N worker threads "
         "(dependency-aware; 1 = lazy serial builds)",
-    )
-    parser.add_argument(
-        "--process-builds",
-        choices=["auto", "off", "force"],
-        default=None,
-        help="run heavy cold dataset builds in subprocesses when "
-        "prebuilding with --jobs (auto: only on multi-core machines; "
-        "sets REPRO_PROCESS_BUILDS)",
     )
     parser.add_argument(
         "--cache-dir",

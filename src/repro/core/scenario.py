@@ -136,11 +136,6 @@ class Scenario:
         self._registry_lock = threading.Lock()
         self._dataset_locks: dict[str, threading.Lock] = {}
         self._materialised: dict[str, object] = {}
-        # name -> zero-arg builder producing an already-built value from
-        # outside this process (the process-pool dispatcher).  Consumed
-        # (popped) on first use; any failure falls back to the in-thread
-        # thunk, so the pool can never make a build fail.
-        self._external_builders: dict[str, Callable[[], object]] = {}
 
     def cache_params(self) -> dict[str, int]:
         """The scenario parameters that key every cache entry."""
@@ -207,15 +202,7 @@ class Scenario:
         policy = self.retry if self.retry is not None else DEFAULT_RETRY
 
         def build_once() -> T:
-            external = self._external_builders.pop(name, None)
-            if external is not None:
-                try:
-                    value: T = external()  # type: ignore[assignment]
-                except Exception:
-                    registry.counter("build.procpool.fallback").inc()
-                    value = thunk()
-            else:
-                value = thunk()
+            value = thunk()
             if self.fault_plan is not None:
                 value = self.fault_plan.gate(name, value)  # type: ignore[assignment]
             return value

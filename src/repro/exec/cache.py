@@ -221,25 +221,6 @@ class DatasetCache:
 
     # -- load / store -------------------------------------------------------
 
-    def probe(self, name: str, params: dict[str, object]) -> bool:
-        """Whether a loadable-looking entry exists (header check only).
-
-        Reads just the JSON header line and verifies schema + full key;
-        no payload bytes are touched, no checksums run, and nothing is
-        ever quarantined.  Used by the process-pool dispatcher to skip
-        subprocess builds whose result a warm load would beat.
-        """
-        path = self.entry_path(name, params)
-        try:
-            with open(path, "rb") as handle:
-                header = json.loads(handle.readline())
-        except Exception:
-            return False
-        return (
-            header.get("schema") == CACHE_SCHEMA
-            and header.get("key") == self.key(name, params)
-        )
-
     def load(self, name: str, params: dict[str, object]) -> object | CacheMiss:
         """The cached dataset, or a :class:`CacheMiss` telling why not.
 

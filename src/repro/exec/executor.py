@@ -114,15 +114,6 @@ def build_parallel(
     registry = get_registry()
     registry.gauge("exec.workers.max").set(max_workers)
 
-    # Farm the heavy cold generators out to subprocesses (policy
-    # permitting) before any thread starts; the DAG workers then consume
-    # the results as each dataset's turn comes.
-    from repro.exec import procpool
-
-    scenario._external_builders.update(
-        procpool.dispatch(scenario, order, max_workers)
-    )
-
     remaining: dict[str, set[str]] = {
         name: {dep for dep in dependencies(name) if dep in order}
         for name in order

@@ -50,6 +50,11 @@ DRILL_PARAMS = {"ndt_tests_per_month": 2, "gpdns_samples_per_month": 1}
 DRILL_MONTH = "2024-02"
 DRILL_COUNTRY = "VE"
 
+#: Hard bound (seconds) on each ``repro ingest`` child.  A child that
+#: runs past it is SIGKILLed by ``subprocess.run`` and its point fails;
+#: it starts no processes of its own, so nothing else is left behind.
+CHILD_TIMEOUT_S = 300
+
 
 def _payload_lines(rows: int = 4) -> list[str]:
     from repro.mlab.ndt import NDTResult
@@ -96,13 +101,24 @@ def _ingest_cmd(
 
 
 def _run(cmd: list[str], crash_point: str | None = None) -> subprocess.CompletedProcess:
+    """Run one child; a timed-out child comes back with returncode None."""
     env = dict(os.environ)
     env.pop(ENV_CRASH, None)
     if crash_point is not None:
         env[ENV_CRASH] = crash_point
-    return subprocess.run(
-        cmd, env=env, capture_output=True, text=True, stdin=subprocess.DEVNULL
-    )
+    try:
+        return subprocess.run(
+            cmd,
+            env=env,
+            capture_output=True,
+            text=True,
+            stdin=subprocess.DEVNULL,
+            timeout=CHILD_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(
+            cmd, None, "", f"timed out after {CHILD_TIMEOUT_S} s"
+        )
 
 
 def _read_receipt(path: Path) -> dict:

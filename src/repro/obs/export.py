@@ -24,6 +24,8 @@ give a before/after profile for perf work.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -142,13 +144,21 @@ def write_trace_json(
     spans: list,
     request_id: str | None = None,
 ) -> Path:
-    """Write one trace under *directory* as ``trace-<trace_id>.json``."""
+    """Write one trace under *directory* as ``trace-<trace_id>.json``.
+
+    The file appears atomically (temp file + ``os.replace``), so a reader
+    polling for it never sees it empty or half written.  The temp name
+    is unique per writing thread: two requests sharing a client trace id
+    may export at once.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"trace-{trace_id}.json"
-    path.write_text(
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    tmp.write_text(
         json.dumps(trace_to_dict(trace_id, spans, request_id), indent=2, sort_keys=True)
         + "\n",
         encoding="utf-8",
     )
+    os.replace(tmp, path)
     return path

@@ -49,6 +49,7 @@ import math
 import os
 import signal
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
@@ -727,9 +728,10 @@ def run_workers(
     respawning, terminates the survivors, and raises ``SystemExit(1)``
     so the failure is loud instead of a silent capacity leak.
 
-    Only the supervisor's own worker pids are ever reaped (per-pid
-    ``waitpid(WNOHANG)`` polling, never ``wait()``): process-pool
-    children spawned by builds stay untouched.
+    Workers notice a dead supervisor within ~0.5 s: each one polls
+    ``os.getppid()`` and sends itself SIGTERM (the normal drain) once
+    it is reparented, so a SIGKILLed supervisor never leaves workers
+    serving on the port.
 
     Args:
         make_server: ``(sock) -> AioReproServer`` factory, called in
@@ -778,6 +780,13 @@ def run_workers(
         for signum in (signal.SIGTERM, signal.SIGINT)
     }
 
+    supervisor = os.getpid()
+
+    def _watch_supervisor() -> None:
+        while os.getppid() == supervisor:
+            time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGTERM)
+
     def _spawn(index: int) -> None:
         pid = os.fork()
         if pid == 0:  # child
@@ -787,6 +796,9 @@ def run_workers(
                     signal.signal(signum, signal.SIG_DFL)  # parent's
                 if received:  # shutdown already requested pre-fork
                     os._exit(0)
+                threading.Thread(
+                    target=_watch_supervisor, name="supervisor-watch", daemon=True
+                ).start()
                 if index == 0 or not reuseport:
                     sock = sock0
                 else:

@@ -2,9 +2,8 @@
 
 The codec has two payload shapes — registered column batches stored as
 raw numpy buffers, and a pickle fallback for everything else — and both
-must round-trip every dataset a Scenario can produce, survive
-concurrent warm loads, and hold byte-identity when the heavy generators
-run in subprocesses instead of the parent.
+must round-trip every dataset a Scenario can produce and survive
+concurrent warm loads.
 """
 
 import threading
@@ -13,11 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.columnar import ColumnBatch, registered_kinds
-from repro.core import Scenario
 from repro.core.degrade import DegradedDataset
 from repro.core.scenario import dataset_names
 from repro.exec import DatasetCache
-from repro.exec import procpool
 from repro.exec.cache import CacheMiss
 from repro.mlab.columns import NDTColumns
 from repro.obs import get_registry
@@ -148,57 +145,3 @@ def test_eight_threads_warm_load_byte_identical(tmp_path, scenario):
         assert loaded == stored
         assert loaded.answer_idx.tobytes() == stored.answer_idx.tobytes()
     assert get_registry().counter("cache.corrupt").value == 0
-
-
-def test_process_pool_builds_byte_identical(monkeypatch):
-    # The subprocess path must hand back exactly the batches an
-    # in-process build produces — column buffers and metadata both.
-    monkeypatch.setenv(procpool.ENV_FLAG, "force")
-    pooled = Scenario(ndt_tests_per_month=3, gpdns_samples_per_month=1)
-    pooled.build_all(max_workers=2)
-    registry = get_registry()
-    assert registry.counter("build.procpool.built").value == len(
-        procpool.HEAVY_DATASETS
-    )
-    assert registry.counter("scenario.dataset.built").value == len(dataset_names())
-
-    monkeypatch.setenv(procpool.ENV_FLAG, "off")
-    serial = Scenario(ndt_tests_per_month=3, gpdns_samples_per_month=1)
-    for name in procpool.HEAVY_DATASETS:
-        ours = getattr(serial, name)
-        theirs = getattr(pooled, name)
-        assert theirs == ours, name
-        for column, array in ours.columns().items():
-            assert (
-                getattr(theirs, column).tobytes() == array.tobytes()
-            ), f"{name}.{column}"
-        assert theirs.meta() == ours.meta(), name
-
-
-def test_process_pool_policy_off_disables_dispatch(monkeypatch):
-    monkeypatch.setenv(procpool.ENV_FLAG, "off")
-    scenario = Scenario(ndt_tests_per_month=1, gpdns_samples_per_month=1)
-    assert procpool.dispatch(scenario, list(dataset_names()), 4) == {}
-
-
-def test_process_pool_skips_cached_datasets(tmp_path, monkeypatch):
-    monkeypatch.setenv(procpool.ENV_FLAG, "force")
-    cache = DatasetCache(tmp_path / "c")
-    seeded = Scenario(cache=cache, ndt_tests_per_month=1, gpdns_samples_per_month=1)
-    seeded.ndt_tests  # warm exactly one heavy entry
-    fresh = Scenario(cache=cache, ndt_tests_per_month=1, gpdns_samples_per_month=1)
-    external = procpool.dispatch(fresh, list(dataset_names()), 4)
-    try:
-        assert set(external) == set(procpool.HEAVY_DATASETS) - {"ndt_tests"}
-    finally:
-        for consume in external.values():  # drain the pool
-            consume()
-
-
-def test_subclassed_scenario_never_dispatches(monkeypatch):
-    monkeypatch.setenv(procpool.ENV_FLAG, "force")
-
-    class Custom(Scenario):
-        pass
-
-    assert procpool.dispatch(Custom(), list(dataset_names()), 4) == {}

@@ -10,7 +10,9 @@ import json
 import subprocess
 import sys
 
+from repro.ingest import drill
 from repro.ingest.drill import (
+    CHILD_TIMEOUT_S,
     DRILL_MONTH,
     _ingest_cmd,
     _payload_lines,
@@ -58,6 +60,15 @@ def test_injected_crash_is_a_real_sigkill(tmp_path):
     assert list((tmp_path / "wal").glob("wal-*.seg"))
 
 
+def test_timed_out_child_is_a_failed_run(monkeypatch):
+    # subprocess.run kills the child at the bound; the drill records a
+    # run with no exit status, which fails its point instead of hanging.
+    monkeypatch.setattr(drill, "CHILD_TIMEOUT_S", 0.5)
+    hung = _run([sys.executable, "-c", "import time; time.sleep(60)"])
+    assert hung.returncode is None
+    assert "timed out" in hung.stderr
+
+
 def test_render_flags_divergence():
     report = {
         "month": DRILL_MONTH,
@@ -88,6 +99,7 @@ def test_cli_drill_unknown_point_rejected():
         capture_output=True,
         text=True,
         env=_drill_env(),
+        timeout=CHILD_TIMEOUT_S,
     )
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr

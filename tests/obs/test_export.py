@@ -164,6 +164,36 @@ def test_trace_artifact_roundtrip(tmp_path):
     assert doc["spans"][1]["parent_id"] == "aa" * 8
 
 
+def test_trace_artifact_is_never_read_partial(tmp_path):
+    # A reader polling for the file (the serve tests do) must only ever
+    # see a complete document, even while the same trace is rewritten.
+    import threading
+
+    from repro.obs.export import trace_from_json, write_trace_json
+
+    spans = [_span(f"s{i}", f"{i:016x}", None) for i in range(2000)]
+    directory = tmp_path / "traces"
+    path = directory / f"trace-{'ab' * 16}.json"
+    done = threading.Event()
+
+    def rewrite():
+        for _ in range(10):
+            write_trace_json(directory, "ab" * 16, spans)
+        done.set()
+
+    writer = threading.Thread(target=rewrite)
+    writer.start()
+    try:
+        while not done.is_set():
+            if path.exists():
+                doc = trace_from_json(path.read_text(encoding="utf-8"))
+                assert len(doc["spans"]) == 2000
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert [p.name for p in directory.iterdir()] == [path.name]  # no temp left
+
+
 def test_trace_from_json_rejects_bad_documents():
     import json as json_mod
 

@@ -8,12 +8,8 @@ engine's, whether served by one worker or a pre-forked pair.
 
 import http.client
 import json
-import os
 import signal
-import subprocess
-import sys
 import threading
-import time
 
 import pytest
 
@@ -177,29 +173,7 @@ def test_304_revalidation_matches_threaded(aio_served, threaded_server):
         assert a_headers["ETag"] == etag
 
 
-_WORKERS_DRIVER = """
-import sys
-from repro.serve.aio import create_aio_server, run_workers
-from repro.serve.artifacts import build_artifact_store
-from repro.serve.handlers import ServeContext
-from repro.serve.pool import ScenarioPool
-
-params = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
-pool = ScenarioPool(build_workers=2)
-context = ServeContext(pool=pool, params=params)
-store = build_artifact_store(context, workers=2)
-
-def make(sock):
-    return create_aio_server(artifacts=store, context=context, sock=sock)
-
-run_workers(
-    make, 2, "127.0.0.1", 0,
-    on_bound=lambda port: print(port, flush=True),
-)
-"""
-
-
-def test_two_workers_serve_identical_content_addressed_bytes():
+def test_two_workers_serve_identical_content_addressed_bytes(fleet):
     """--workers 2: both preforked workers serve the same sealed bytes.
 
     SO_REUSEPORT spreads fresh connections across the two workers, so
@@ -210,44 +184,16 @@ def test_two_workers_serve_identical_content_addressed_bytes():
     """
     import hashlib
 
-    import tempfile
+    session, port, _workers = fleet()
+    for path in ("/v1/exhibits", "/v1/report", "/v1/scorecard/ve"):
+        seen = set()
+        for _ in range(8):  # fresh connection each time: both workers
+            status, headers, body = _get(port, path)
+            assert status == 200, path
+            digest = hashlib.sha256(body).hexdigest()
+            assert headers["ETag"] == f'"{digest}"', path
+            seen.add((headers["ETag"], body))
+        assert len(seen) == 1, f"{path}: workers disagreed"
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    stderr_file = tempfile.TemporaryFile(mode="w+")
-    process = subprocess.Popen(
-        [sys.executable, "-c", _WORKERS_DRIVER],
-        stdout=subprocess.PIPE,
-        stderr=stderr_file,
-        env=env,
-        text=True,
-    )
-    try:
-        port = int(process.stdout.readline())
-        deadline = time.monotonic() + 300
-        while True:  # the workers are still building the small scenario
-            try:
-                status, _, _ = _get(port, "/healthz")
-                if status == 200:
-                    break
-            except OSError:
-                pass
-            assert time.monotonic() < deadline, "workers never became ready"
-            time.sleep(0.2)
-
-        for path in ("/v1/exhibits", "/v1/report", "/v1/scorecard/ve"):
-            seen = set()
-            for _ in range(8):  # fresh connection each time: both workers
-                status, headers, body = _get(port, path)
-                assert status == 200, path
-                digest = hashlib.sha256(body).hexdigest()
-                assert headers["ETag"] == f'"{digest}"', path
-                seen.add((headers["ETag"], body))
-            assert len(seen) == 1, f"{path}: workers disagreed"
-    finally:
-        process.send_signal(signal.SIGTERM)
-        returncode = process.wait(timeout=60)
-        stderr_file.seek(0)
-        stderr = stderr_file.read()
-        stderr_file.close()
-    assert returncode == 0, f"worker tree exited {returncode}: {stderr[-2000:]}"
+    session.process.send_signal(signal.SIGTERM)
+    assert session.process.wait(timeout=60) == 0, session.stderr()[-2000:]

@@ -1,142 +1,73 @@
-"""Worker supervision: crashed workers respawn, crash loops exit nonzero."""
+"""Worker supervision: crashed workers respawn, crash loops exit nonzero,
+and workers never outlive a killed supervisor."""
 
-import http.client
 import os
 import signal
-import subprocess
-import sys
+import socket
 import time
 
 import pytest
 
-pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork-based workers need POSIX"
-)
+from tests.serve.conftest import healthz
 
-_DRIVER = """
-import sys
-from repro.obs import get_registry
-from repro.serve.aio import create_aio_server, run_workers
-from repro.serve.artifacts import build_artifact_store
-from repro.serve.handlers import ServeContext
-from repro.serve.pool import ScenarioPool
-
-params = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
-pool = ScenarioPool(build_workers=2)
-context = ServeContext(pool=pool, params=params)
-store = build_artifact_store(context, workers=2)
-
-def make(sock):
-    return create_aio_server(artifacts=store, context=context, sock=sock)
-
-try:
-    run_workers(
-        make, 2, "127.0.0.1", 0,
-        on_bound=lambda port: print(port, flush=True),
-        max_restarts=%(max_restarts)d,
-        restart_window=30.0,
-        backoff_base=0.05,
-        backoff_cap=0.2,
-    )
-except SystemExit as exc:
-    raise
-print(
-    "restarted",
-    int(get_registry().counter("serve.workers.restarted").value),
-    flush=True,
-)
-"""
+_FAST_RESTARTS = {"restart_window": 30.0, "backoff_base": 0.05, "backoff_cap": 0.2}
 
 
-def _children(pid):
-    path = f"/proc/{pid}/task/{pid}/children"
+def _alive(pid):
+    """Whether *pid* still runs; a zombie has exited and only awaits reaping."""
     try:
-        with open(path) as handle:
-            return [int(p) for p in handle.read().split()]
-    except OSError:
-        pytest.skip("/proc children listing unavailable")
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
-def _healthz(port):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+def _refused(port):
     try:
-        conn.request("GET", "/healthz")
-        return conn.getresponse().status
-    finally:
-        conn.close()
+        socket.create_connection(("127.0.0.1", port), timeout=1).close()
+    except ConnectionRefusedError:
+        return True
+    return False
 
 
-def _launch(max_restarts):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    return subprocess.Popen(
-        [sys.executable, "-c", _DRIVER % {"max_restarts": max_restarts}],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
+def test_killed_worker_is_respawned(fleet):
+    session, port, workers = fleet(max_restarts=5, **_FAST_RESTARTS)
+    victim = max(workers)
+    os.kill(victim, signal.SIGKILL)
+
+    line = session.readline(timeout=60)  # the respawned worker's pid
+    assert line.startswith("worker "), line
+    assert int(line.split()[1]) not in workers
+    assert healthz(port) == 200  # fleet still serves
+
+    session.process.send_signal(signal.SIGTERM)
+    assert session.process.wait(timeout=60) == 0, session.stderr()[-2000:]
+    assert session.readline(timeout=60) == "restarted 1\n"
 
 
-def _wait_ready(process, deadline_seconds=300):
-    port = int(process.stdout.readline())
-    deadline = time.monotonic() + deadline_seconds
-    while True:
-        try:
-            if _healthz(port) == 200:
-                return port
-        except OSError:
-            pass
-        assert time.monotonic() < deadline, "workers never became ready"
-        time.sleep(0.2)
+def test_crash_loop_gives_up_nonzero(fleet):
+    session, _port, workers = fleet(max_restarts=2, **_FAST_RESTARTS)
+    # Keep killing every worker that announces itself; after
+    # max_restarts exits inside the window the supervisor must stop
+    # respawning and exit 1, which ends its stdout.
+    victims = workers
+    while victims:
+        for pid in victims:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        line = session.readline(timeout=60)
+        victims = [int(line.split()[1])] if line.startswith("worker ") else []
+    assert session.process.wait(timeout=60) == 1, session.stderr()[-2000:]
 
 
-def test_killed_worker_is_respawned():
-    process = _launch(max_restarts=5)
-    try:
-        port = _wait_ready(process)
-        before = set(_children(process.pid))
-        assert len(before) == 2
-        victim = sorted(before)[-1]
-        os.kill(victim, signal.SIGKILL)
-
-        deadline = time.monotonic() + 60
-        while True:
-            current = set(_children(process.pid))
-            if victim not in current and len(current) == 2:
-                break  # a fresh worker took the slot
-            assert time.monotonic() < deadline, "worker never respawned"
-            time.sleep(0.05)
-        assert _healthz(port) == 200  # fleet still serves
-
-        process.send_signal(signal.SIGTERM)
-        out, err = process.communicate(timeout=60)
-        assert process.returncode == 0, err[-2000:]
-        assert "restarted 1" in out
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
-
-
-def test_crash_loop_gives_up_nonzero():
-    process = _launch(max_restarts=2)
-    try:
-        _wait_ready(process)
-        deadline = time.monotonic() + 120
-        # Keep killing whatever workers exist; after max_restarts exits
-        # inside the window the supervisor must stop and exit 1.
-        while process.poll() is None:
-            assert time.monotonic() < deadline, "supervisor never gave up"
-            for child in _children(process.pid):
-                try:
-                    os.kill(child, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            time.sleep(0.1)
-        out, err = process.communicate(timeout=60)
-        assert process.returncode == 1, (out, err[-2000:])
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+def test_workers_exit_when_supervisor_is_killed(fleet):
+    session, port, workers = fleet()
+    deadline = time.monotonic() + 10
+    session.process.kill()
+    assert session.process.wait(timeout=10) == -signal.SIGKILL
+    while any(_alive(pid) for pid in workers) or not _refused(port):
+        assert time.monotonic() < deadline, "workers outlived their supervisor"
+        time.sleep(0.1)
