@@ -1,34 +1,27 @@
 """Benchmark the HTTP serving layer and emit ``BENCH_serve.json``.
 
-Forks one server process per engine (the client and server must not
-share a GIL — on the single-core CI box an in-process server would
-serialise against its own load generator), waits for readiness, then
-drives the static response surface with raw-socket **keep-alive**
-clients:
+Forks one server process (the client and server must not share a GIL —
+on the single-core CI box an in-process server would serialise against
+its own load generator) that seals the artifact plane with
+``create_aio_server``, waits for readiness, then drives the static
+response surface with raw-socket HTTP/1.1 **keep-alive** clients.
 
-* ``threaded`` -- the original ``http.server`` engine: per-request
-  render + response cache, HTTP/1.0 (one connection per request; the
-  client transparently reconnects).
-* ``asyncio``  -- the artifact plane: sealed precomputed bytes over
-  HTTP/1.1 keep-alive.
-
-Each engine runs a **warmup phase that is excluded from measurement**
-(connections established, caches populated, branch predictors warm),
-then a timed phase.  Client-side failures never crash the run: errors
-and timeouts are counted per phase and recorded in the artifact
-(schema ``repro.bench.serve/2``).
+A **warmup phase is excluded from measurement** (connections
+established, branch predictors warm), then a timed phase runs.
+Client-side failures never crash the run: errors and timeouts are
+counted and recorded in the artifact (schema ``repro.bench.serve/2``,
+whose ``engines`` map now holds the one ``asyncio`` entry).
 
 The serving invariants are proven from the *server's own* ``/metrics``
 exposition, scraped before and after the timed phase: zero datasets
-rebuild under load, and the phase is served from the artifact plane
-(asyncio) / response cache (threaded).  The script exits non-zero if
-either fails.
+rebuild under load, and the phase is served from the artifact plane.
+The script exits non-zero if either fails.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py \
         [--out BENCH_serve.json] [--connections 4] \
-        [--asyncio-requests 4000] [--threaded-requests 50] [--jobs 2]
+        [--asyncio-requests 4000] [--jobs 2]
 """
 
 from __future__ import annotations
@@ -55,7 +48,6 @@ _COUNTER_FAMILIES = (
     "scenario_dataset_built",
     "serve_requests",
     "serve_artifact_hit",
-    "serve_cache_hit",
 )
 
 
@@ -69,10 +61,9 @@ def _request_mix() -> list[str]:
 class KeepAliveClient:
     """A raw-socket HTTP client that reuses one connection when it can.
 
-    Against the asyncio engine every request rides the same HTTP/1.1
-    keep-alive connection; against the HTTP/1.0 threaded engine the
-    server closes after each response and the client reconnects,
-    counting the reconnect.
+    Every request rides the same HTTP/1.1 keep-alive connection; if the
+    server answers HTTP/1.0 or ``Connection: close``, the client
+    reconnects and counts the reconnect.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
@@ -138,8 +129,8 @@ class KeepAliveClient:
         return status, body
 
 
-def _fork_server(engine: str, jobs: int, quiet: bool) -> tuple[int, int]:
-    """Fork a warm server child for *engine*; returns (pid, port).
+def _fork_server(jobs: int, quiet: bool) -> tuple[int, int]:
+    """Fork a warm server child; returns (pid, port).
 
     The child binds port 0 and reports the resolved port over a pipe
     *before* paying the scenario/artifact build, so the parent can start
@@ -154,24 +145,12 @@ def _fork_server(engine: str, jobs: int, quiet: bool) -> tuple[int, int]:
             if quiet:
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, 2)
-            if engine == "asyncio":
-                from repro.serve.aio import (
-                    _reuseport_socket,
-                    create_aio_server,
-                    run_aio,
-                )
+            from repro.serve.aio import _reuseport_socket, create_aio_server, run_aio
 
-                sock = _reuseport_socket("127.0.0.1", 0)
-                os.write(write_fd, str(sock.getsockname()[1]).encode())
-                os.close(write_fd)
-                run_aio(create_aio_server(jobs=jobs, sock=sock))
-            else:
-                from repro.serve import create_server, run
-
-                server = create_server(port=0, jobs=jobs, prebuild=True)
-                os.write(write_fd, str(server.server_address[1]).encode())
-                os.close(write_fd)
-                run(server)
+            sock = _reuseport_socket("127.0.0.1", 0)
+            os.write(write_fd, str(sock.getsockname()[1]).encode())
+            os.close(write_fd)
+            run_aio(create_aio_server(jobs=jobs, sock=sock))
         except BaseException:  # noqa: BLE001 - report, then hard-exit
             import traceback
 
@@ -248,9 +227,7 @@ def _load(
         except OSError:
             errors += 1
         # Warmup covers every path in the mix at least once per
-        # connection, whatever the configured count: the first render of
-        # a heavy endpoint (seconds of exhibit runs on the threaded
-        # engine) must never land in the timed phase.
+        # connection, whatever the configured count.
         for i in range(max(warmup_per_connection, len(paths))):
             if client is None:
                 break
@@ -333,8 +310,7 @@ def _load(
     }
 
 
-def bench_engine(
-    engine: str,
+def bench_server(
     jobs: int,
     connections: int,
     requests_per_connection: int,
@@ -342,9 +318,9 @@ def bench_engine(
     timeout: float,
     quiet: bool,
 ) -> dict:
-    """Fork, warm up, measure, verify invariants, drain one engine."""
+    """Fork, warm up, measure, verify invariants, drain the server."""
     paths = _request_mix()
-    pid, port = _fork_server(engine, jobs, quiet)
+    pid, port = _fork_server(jobs, quiet)
     try:
         _wait_ready("127.0.0.1", port)
         before = _scrape_counters("127.0.0.1", port)
@@ -362,15 +338,14 @@ def bench_engine(
         os.kill(pid, signal.SIGTERM)
         _, status = os.waitpid(pid, 0)
     if status != 0:
-        raise SystemExit(f"{engine} server exited abnormally (status {status})")
+        raise SystemExit(f"server exited abnormally (status {status})")
 
     # The serving invariants this benchmark exists to defend.
     built_delta = after["scenario_dataset_built"] - before["scenario_dataset_built"]
     if built_delta != 0:
-        raise SystemExit(f"{engine}: {built_delta:.0f} datasets rebuilt under load")
-    hot_counter = "serve_artifact_hit" if engine == "asyncio" else "serve_cache_hit"
-    if after[hot_counter] <= before[hot_counter]:
-        raise SystemExit(f"{engine}: warm phase did not grow {hot_counter}")
+        raise SystemExit(f"{built_delta:.0f} datasets rebuilt under load")
+    if after["serve_artifact_hit"] <= before["serve_artifact_hit"]:
+        raise SystemExit("warm phase did not grow serve_artifact_hit")
 
     return {
         "connections": connections,
@@ -385,36 +360,19 @@ def bench(
     jobs: int,
     connections: int,
     asyncio_requests: int,
-    threaded_requests: int,
     warmup: int,
     timeout: float,
     quiet: bool,
 ) -> dict:
-    """Both engines end to end; returns the ``repro.bench.serve/2`` dict."""
-    threaded = bench_engine(
-        "threaded",
-        jobs,
-        connections,
-        threaded_requests,
-        max(1, warmup // 10),  # HTTP/1.0 warmup is slow; a taste suffices
-        timeout,
-        quiet,
-    )
-    aio = bench_engine(
-        "asyncio", jobs, connections, asyncio_requests, warmup, timeout, quiet
-    )
+    """The server end to end; returns the ``repro.bench.serve/2`` dict."""
+    aio = bench_server(jobs, connections, asyncio_requests, warmup, timeout, quiet)
     return {
         "schema": SCHEMA,
         "jobs": jobs,
         "endpoints": len(_request_mix()),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "engines": {"threaded": threaded, "asyncio": aio},
-        "speedup_asyncio_vs_threaded": round(
-            aio["warm"]["requests_per_second"]
-            / threaded["warm"]["requests_per_second"],
-            2,
-        ),
+        "engines": {"asyncio": aio},
     }
 
 
@@ -426,27 +384,20 @@ def main(argv: list[str] | None = None) -> int:
         "--asyncio-requests",
         type=int,
         default=4000,
-        help="timed requests per connection against the asyncio engine",
-    )
-    parser.add_argument(
-        "--threaded-requests",
-        type=int,
-        default=150,
-        help="timed requests per connection against the threaded engine",
+        help="timed requests per connection",
     )
     parser.add_argument(
         "--warmup",
         type=int,
         default=200,
-        help="excluded warmup requests per connection (asyncio engine; "
-        "the threaded engine gets a tenth)",
+        help="excluded warmup requests per connection",
     )
     parser.add_argument("--timeout", type=float, default=30.0)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument(
         "--server-logs",
         action="store_true",
-        help="let the forked servers write their logs to stderr",
+        help="let the forked server write its logs to stderr",
     )
     args = parser.parse_args(argv)
 
@@ -454,22 +405,19 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         connections=args.connections,
         asyncio_requests=args.asyncio_requests,
-        threaded_requests=args.threaded_requests,
         warmup=args.warmup,
         timeout=args.timeout,
         quiet=not args.server_logs,
     )
     Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
-    for engine in ("threaded", "asyncio"):
-        stats = artifact["engines"][engine]["warm"]
-        print(
-            f"{engine:<8}: {stats['requests_per_second']:>9.1f} req/s   "
-            f"p50 {stats['latency_ms']['p50']:>7.3f}ms   "
-            f"p99 {stats['latency_ms']['p99']:>7.3f}ms   "
-            f"({stats['requests']} requests, {stats['client_errors']} errors, "
-            f"{stats['client_timeouts']} timeouts)"
-        )
-    print(f"asyncio/threaded speedup: {artifact['speedup_asyncio_vs_threaded']}x")
+    stats = artifact["engines"]["asyncio"]["warm"]
+    print(
+        f"{stats['requests_per_second']:>9.1f} req/s   "
+        f"p50 {stats['latency_ms']['p50']:>7.3f}ms   "
+        f"p99 {stats['latency_ms']['p99']:>7.3f}ms   "
+        f"({stats['requests']} requests, {stats['client_errors']} errors, "
+        f"{stats['client_timeouts']} timeouts)"
+    )
     print(f"wrote {args.out}")
     return 0
 

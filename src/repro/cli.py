@@ -236,83 +236,52 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.engine == "asyncio":
-        if args.ingest_dir:
-            # The asyncio plane serves a sealed, immutable store; live
-            # ingestion needs the threaded engine's hot-swap surface.
-            print(
-                "--ingest-dir requires --engine threaded "
-                "(the asyncio artifact plane is sealed)",
-                file=sys.stderr,
-            )
-            return 2
-        return _serve_asyncio(args)
-    from repro.serve import create_server, run
+    """Serve the API from one process, or from pre-forked workers.
 
-    cache_max_bytes = (
-        args.response_cache_mb * 1024 * 1024 if args.response_cache_mb else None
-    )
-    server = create_server(
-        host=args.host,
-        port=args.port,
-        cache=_resolve_cache(args),
-        jobs=args.jobs,
-        prebuild=not args.no_prebuild,
-        verbose=args.verbose,
-        strict=args.strict,
-        deadline_seconds=args.deadline,
-        max_inflight=args.max_inflight,
-        trace_sample_rate=args.trace_sample_rate,
-        trace_dir=args.trace_dir,
-        cache_max_bytes=cache_max_bytes,
-        ingest_dir=args.ingest_dir,
-        ingest_max_backlog=args.ingest_max_backlog,
-    )
-    if not args.no_prebuild:
-        print("scenario prebuilt; serving warm", file=sys.stderr)
-    print(f"serving on {server.url} (SIGTERM or Ctrl-C to stop)", file=sys.stderr)
-    run(server)  # returns after the drain completes
-    print("server drained; exiting", file=sys.stderr)
-    return 0
-
-
-def _serve_asyncio(args: argparse.Namespace) -> int:
-    """The asyncio engine: sealed artifact plane, optional pre-forked workers.
-
-    The scenario builds and the whole static surface is materialized
-    *before* any socket accepts (and before any fork, so workers share
-    the sealed store copy-on-write).
+    A single process fills its artifact plane as each static path is
+    first requested.  ``--workers N>1`` seals the whole plane before any
+    fork, so the workers share it copy-on-write.
     """
-    from repro.serve.aio import create_aio_server, run_aio, run_workers
+    if args.ingest_dir and args.workers > 1:
+        # The journal, its apply thread and the surface hot-swap live in
+        # one process; N workers would each apply the journal.
+        print(
+            "--ingest-dir needs a single process (drop --workers)",
+            file=sys.stderr,
+        )
+        return 2
+    from repro.serve.aio import AioServer, _reuseport_socket, run_aio, run_workers
     from repro.serve.artifacts import build_artifact_store
     from repro.serve.handlers import ServeContext
     from repro.serve.pool import ScenarioPool
 
-    pool = ScenarioPool(
-        cache=_resolve_cache(args), build_workers=args.jobs, strict=args.strict
-    )
+    cache = _resolve_cache(args)
+    pool = ScenarioPool(cache=cache, build_workers=args.jobs, strict=args.strict)
     context = ServeContext(pool=pool, params={})
-    store = build_artifact_store(context, workers=args.jobs)
-    print(
-        f"artifact plane sealed: {len(store)} responses, "
-        f"{store.total_bytes} bytes, fingerprint {store.fingerprint()[:12]}",
-        file=sys.stderr,
-    )
+    store = None
+    if args.workers > 1:
+        store = build_artifact_store(context, workers=args.jobs)
+        print(
+            f"artifact plane sealed: {len(store)} responses, "
+            f"{store.total_bytes} bytes, fingerprint {store.fingerprint()[:12]}",
+            file=sys.stderr,
+        )
 
     def _make(sock):
-        return create_aio_server(
+        return AioServer(
+            context,
+            store,
+            sock=sock,
             verbose=args.verbose,
             deadline_seconds=args.deadline,
             max_inflight=args.max_inflight,
-            artifacts=store,
-            context=context,
-            sock=sock,
+            trace_sample_rate=args.trace_sample_rate,
+            trace_dir=args.trace_dir,
         )
 
     def _announce(port: int) -> None:
         print(
-            f"serving on http://{args.host}:{port} "
-            f"[engine=asyncio workers={args.workers}] "
+            f"serving on http://{args.host}:{port} [workers={args.workers}] "
             "(SIGTERM or Ctrl-C to stop)",
             file=sys.stderr,
         )
@@ -322,11 +291,24 @@ def _serve_asyncio(args: argparse.Namespace) -> int:
             _make, args.workers, args.host, args.port, on_bound=_announce
         )
     else:
-        from repro.serve.aio import _reuseport_socket
-
         sock = _reuseport_socket(args.host, args.port)
+        server = _make(sock)
+        if args.ingest_dir:
+            from repro.serve.ingestor import enable_ingest
+
+            enable_ingest(
+                server,
+                args.ingest_dir,
+                cache=cache,
+                jobs=args.jobs,
+                strict=args.strict,
+                max_backlog=args.ingest_max_backlog,
+            )
+        if not args.no_prebuild:
+            server.context.scenario()
+            print("scenario prebuilt; serving warm", file=sys.stderr)
         _announce(sock.getsockname()[1])
-        run_aio(_make(sock))
+        run_aio(server)
     print("server drained; exiting", file=sys.stderr)
     return 0
 
@@ -682,34 +664,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 picks an ephemeral port)",
     )
     serve.add_argument(
-        "--engine",
-        choices=["threaded", "asyncio"],
-        default="threaded",
-        help="serving engine: 'threaded' (http.server, per-request "
-        "render + response cache) or 'asyncio' (precomputed artifact "
-        "plane, keep-alive, 10k+ req/s on one core)",
-    )
-    serve.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
         metavar="N",
-        help="asyncio engine only: pre-fork N worker processes sharing "
-        "the port via SO_REUSEPORT (default: 1, single process)",
-    )
-    serve.add_argument(
-        "--response-cache-mb",
-        type=_positive_int,
-        default=None,
-        metavar="MB",
-        help="threaded engine only: bound the response cache by total "
-        "body bytes as well as entry count (default: entries only)",
+        help="pre-fork N worker processes sharing the port via "
+        "SO_REUSEPORT, after sealing the artifact plane they share "
+        "(default: 1, a single process that fills the plane on first "
+        "request)",
     )
     serve.add_argument(
         "--no-prebuild",
         action="store_true",
         help="skip the startup scenario build; the first request pays it "
-        "(single-flight: concurrent cold requests share one build)",
+        "(single-flight: concurrent cold requests share one build; "
+        "--workers N>1 always seals first)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log each request to stderr"
@@ -748,9 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ingest-dir",
         metavar="DIR",
         default=None,
-        help="threaded engine only: enable POST /v1/ingest/<format>, "
-        "journaling batches into this write-ahead-log directory and "
-        "hot-swapping the serving surface after each rebuild",
+        help="enable POST /v1/ingest/<format>, journaling batches into "
+        "this write-ahead-log directory and hot-swapping the serving "
+        "surface after each rebuild (single process only)",
     )
     serve.add_argument(
         "--ingest-max-backlog",

@@ -65,6 +65,11 @@ class Exhibit:
         return "\n".join(lines)
 
 
+def row(metric: str, paper: object, measured: object) -> dict[str, object]:
+    """One paper-vs-measured exhibit row."""
+    return {"metric": metric, "paper": paper, "measured": measured}
+
+
 ExhibitFn = Callable[["Scenario"], Exhibit]
 
 _REGISTRY: dict[str, ExhibitFn] = {}

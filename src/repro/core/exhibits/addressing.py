@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core.exhibit import Exhibit, register
+from repro.core.exhibit import Exhibit, register, row
 from repro.core.scenario import Scenario
 from repro.registry.address_plan import AS_CANTV, AS_TELEFONICA
 from repro.registry.address_space import allocation_series
 from repro.timeseries.month import Month
-
-
-def _row(metric: str, paper: object, measured: object) -> dict[str, object]:
-    return {"metric": metric, "paper": paper, "measured": measured}
 
 
 @register("fig02")
@@ -34,18 +30,18 @@ def fig02_address_space(scenario: Scenario) -> Exhibit:
     during = telefonica[Month(2017, 1)]
     after = telefonica[Month(2023, 7)]
     rows = [
-        _row("CANTV peak share of VE space", 0.69, max(cantv_share.values())),
-        _row(
+        row("CANTV peak share of VE space", 0.69, max(cantv_share.values())),
+        row(
             "CANTV mean share of VE space",
             0.43,
             sum(cantv_share.values()) / len(cantv_share),
         ),
-        _row("closest CANTV-Telefonica gap (pp)", 11.0, min(gap_pts)),
-        _row("CANTV announced addresses (final)", None, cantv.last_value()),
-        _row("Telefonica announced before withdrawal", None, before),
-        _row("Telefonica announced during contraction", None, during),
-        _row("Telefonica contraction depth (fraction)", None, during / before),
-        _row("Telefonica recovers pre-withdrawal size", "yes", "yes" if after == before else "no"),
+        row("closest CANTV-Telefonica gap (pp)", 11.0, min(gap_pts)),
+        row("CANTV announced addresses (final)", None, cantv.last_value()),
+        row("Telefonica announced before withdrawal", None, before),
+        row("Telefonica announced during contraction", None, during),
+        row("Telefonica contraction depth (fraction)", None, during / before),
+        row("Telefonica recovers pre-withdrawal size", "yes", "yes" if after == before else "no"),
     ]
     return Exhibit(
         "fig02",
@@ -78,19 +74,19 @@ def fig14_telefonica_prefixes(scenario: Scenario) -> Exhibit:
         if jul_2023 in months and may_2016 not in months
     ]
     rows = [
-        _row("prefixes tracked in heatmap", None, len(matrix)),
-        _row("routed prefixes 2016-05", None, routed_at(may_2016)),
-        _row("routed prefixes 2017-01", None, routed_at(jan_2017)),
-        _row("/17s withdrawn around June 2016", None, len(withdrawn)),
-        _row(
+        row("prefixes tracked in heatmap", None, len(matrix)),
+        row("routed prefixes 2016-05", None, routed_at(may_2016)),
+        row("routed prefixes 2017-01", None, routed_at(jan_2017)),
+        row("/17s withdrawn around June 2016", None, len(withdrawn)),
+        row(
             "withdrawal includes 179.23.0.0/17 and 179.23.128.0/17",
             "yes",
             "yes"
             if {"179.23.0.0/17", "179.23.128.0/17"} <= set(withdrawn)
             else "no",
         ),
-        _row("blocks reappearing as aggregates in 2023", None, len(aggregates_back)),
-        _row(
+        row("blocks reappearing as aggregates in 2023", None, len(aggregates_back)),
+        row(
             "179.20.0.0/14 reappears in 2023",
             "yes",
             "yes" if "179.20.0.0/14" in aggregates_back else "no",

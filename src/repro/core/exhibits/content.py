@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core.exhibit import Exhibit, register
+from repro.core.exhibit import Exhibit, register, row
 from repro.core.scenario import Scenario
 from repro.offnets.analysis import country_rank, coverage_pct
 from repro.offnets.records import HYPERGIANTS
 from repro.webdeps.analysis import adoption_summary, country_order, regional_mean
-
-
-def _row(metric: str, paper: object, measured: object) -> dict[str, object]:
-    return {"metric": metric, "paper": paper, "measured": measured}
 
 
 @register("fig07")
@@ -30,17 +26,17 @@ def fig07_offnets(scenario: Scenario) -> Exhibit:
     rows = []
     for hg, (p_rank, p_pool, p_avg) in paper_ranks.items():
         rank, pool, avg = country_rank(archive, estimates, orgmap, hg, "VE")
-        rows.append(_row(f"{hg}: VE rank", f"{p_rank}/{p_pool}", f"{rank}/{pool}"))
-        rows.append(_row(f"{hg}: VE average coverage (%)", p_avg, avg))
+        rows.append(row(f"{hg}: VE rank", f"{p_rank}/{p_pool}", f"{rank}/{pool}"))
+        rows.append(row(f"{hg}: VE average coverage (%)", p_avg, avg))
     rows.append(
-        _row(
+        row(
             "google covered CANTV before the crisis (2013)",
             "yes",
             "yes" if 8048 in archive.hosting_asns("google", 2013) else "no",
         )
     )
     rows.append(
-        _row(
+        row(
             "facebook ever deployed in CANTV",
             "no",
             "yes"
@@ -52,7 +48,7 @@ def fig07_offnets(scenario: Scenario) -> Exhibit:
         y for y in archive.years() if 8048 in archive.hosting_asns("netflix", y)
     ]
     rows.append(
-        _row(
+        row(
             "netflix enters CANTV",
             2021,
             netflix_cantv_years[0] if netflix_cantv_years else "never",
@@ -81,9 +77,9 @@ def fig18_all_hypergiants(scenario: Scenario) -> Exhibit:
                 if coverage_pct(archive, estimates, orgmap, hg, cc, final_year) > 0
             }
         )
-        rows.append(_row(f"{hg}: VE coverage (%)", 0.0, ve_pct))
+        rows.append(row(f"{hg}: VE coverage (%)", 0.0, ve_pct))
         rows.append(
-            _row(f"{hg}: LACNIC countries with presence", "minimal", len(countries))
+            row(f"{hg}: LACNIC countries with presence", "minimal", len(countries))
         )
     return Exhibit(
         "fig18",
@@ -99,19 +95,19 @@ def fig19_third_party(scenario: Scenario) -> Exhibit:
     survey = scenario.site_survey
     ve = adoption_summary(survey, "VE")
     rows = [
-        _row("VE third-party DNS adoption", 0.29, ve.dns),
-        _row("regional DNS mean", 0.32, regional_mean(survey, "dns")),
-        _row("VE third-party CA adoption", 0.22, ve.ca),
-        _row("regional CA mean", 0.26, regional_mean(survey, "ca")),
-        _row("VE third-party CDN adoption", 0.37, ve.cdn),
-        _row("regional CDN mean", 0.46, regional_mean(survey, "cdn")),
-        _row("VE HTTPS adoption", 0.58, ve.https),
-        _row("regional HTTPS mean", 0.60, regional_mean(survey, "https")),
+        row("VE third-party DNS adoption", 0.29, ve.dns),
+        row("regional DNS mean", 0.32, regional_mean(survey, "dns")),
+        row("VE third-party CA adoption", 0.22, ve.ca),
+        row("regional CA mean", 0.26, regional_mean(survey, "ca")),
+        row("VE third-party CDN adoption", 0.37, ve.cdn),
+        row("regional CDN mean", 0.46, regional_mean(survey, "cdn")),
+        row("VE HTTPS adoption", 0.58, ve.https),
+        row("regional HTTPS mean", 0.60, regional_mean(survey, "https")),
     ]
     for metric in ("dns", "ca"):
         order = country_order(survey, metric)
         rows.append(
-            _row(
+            row(
                 f"only Bolivia below VE ({metric})",
                 "yes",
                 "yes" if order.index("VE") == 1 and order[0] == "BO" else "no",
@@ -119,7 +115,7 @@ def fig19_third_party(scenario: Scenario) -> Exhibit:
         )
     cdn_order = country_order(survey, "cdn")
     rows.append(
-        _row(
+        row(
             "VE third-lowest for CDN (after BO, PY)",
             "yes",
             "yes" if cdn_order[:3] == ["BO", "PY", "VE"] else "no",
@@ -127,7 +123,7 @@ def fig19_third_party(scenario: Scenario) -> Exhibit:
     )
     https_order = country_order(survey, "https")
     rows.append(
-        _row(
+        row(
             "VE slightly above bottom for HTTPS",
             "4th of 9",
             f"{https_order.index('VE') + 1}th of {len(https_order)}",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.apnic.synthetic import VE_TOP10
 from repro.bgp.synthetic import US_REGISTERED_PROVIDERS, provider_name
-from repro.core.exhibit import Exhibit, register
+from repro.core.exhibit import Exhibit, register, row
 from repro.core.scenario import Scenario
 from repro.ixp.coverage import (
     country_us_presence,
@@ -17,10 +17,6 @@ from repro.registry.address_plan import AS_CANTV
 from repro.timeseries.month import Month
 
 
-def _row(metric: str, paper: object, measured: object) -> dict[str, object]:
-    return {"metric": metric, "paper": paper, "measured": measured}
-
-
 @register("fig08")
 def fig08_cantv_degree(scenario: Scenario) -> Exhibit:
     """Fig. 8: CANTV's upstream and downstream counts over time."""
@@ -28,12 +24,12 @@ def fig08_cantv_degree(scenario: Scenario) -> Exhibit:
     ups = archive.upstream_count_series(AS_CANTV)
     downs = archive.downstream_count_series(AS_CANTV)
     rows = [
-        _row("peak upstream providers", 11, ups.max()),
-        _row("upstreams in January 2013", 11, ups[Month(2013, 1)]),
-        _row("upstream trough (2020)", 3, ups[Month(2020, 6)]),
-        _row("upstreams at end (rebound)", None, ups.last_value()),
-        _row("downstreams in 2000", 0, downs[Month(2000, 6)]),
-        _row("downstreams at end", 20, downs.last_value()),
+        row("peak upstream providers", 11, ups.max()),
+        row("upstreams in January 2013", 11, ups[Month(2013, 1)]),
+        row("upstream trough (2020)", 3, ups[Month(2020, 6)]),
+        row("upstreams at end (rebound)", None, ups.last_value()),
+        row("downstreams in 2000", 0, downs[Month(2000, 6)]),
+        row("downstreams at end", 20, downs.last_value()),
     ]
     return Exhibit("fig08", "CANTV-AS8048 upstream/downstream connectivity", rows)
 
@@ -50,20 +46,20 @@ def fig09_transit_roster(scenario: Scenario) -> Exhibit:
         return archive.provider_intervals(AS_CANTV, asn)[-1][1]
 
     rows = [
-        _row("providers in roster (>12 months)", 18, len(providers)),
-        _row("US providers still serving at end", 1, len(us_final)),
-        _row("the remaining US provider", "Columbus Networks (23520)",
+        row("providers in roster (>12 months)", 18, len(providers)),
+        row("US providers still serving at end", 1, len(us_final)),
+        row("the remaining US provider", "Columbus Networks (23520)",
              ", ".join(f"{provider_name(a)} ({a})" for a in us_final)),
-        _row("Verizon-701 departs", "2013", str(last_service(701).year)),
-        _row("Sprint-1239 departs", "2013", str(last_service(1239).year)),
-        _row("AT&T-7018 departs", "2013", str(last_service(7018).year)),
-        _row("GTT-3257 departs", "2017", str(last_service(3257).year)),
-        _row("GTT-4436 departs", "2017", str(last_service(4436).year)),
-        _row("Level3-3356 departs", "2018", str(last_service(3356).year)),
-        _row("Level3-3549 departs", "2018", str(last_service(3549).year)),
-        _row("Telecom Italia-6762 serves to the end", "yes",
+        row("Verizon-701 departs", "2013", str(last_service(701).year)),
+        row("Sprint-1239 departs", "2013", str(last_service(1239).year)),
+        row("AT&T-7018 departs", "2013", str(last_service(7018).year)),
+        row("GTT-3257 departs", "2017", str(last_service(3257).year)),
+        row("GTT-4436 departs", "2017", str(last_service(4436).year)),
+        row("Level3-3356 departs", "2018", str(last_service(3356).year)),
+        row("Level3-3549 departs", "2018", str(last_service(3549).year)),
+        row("Telecom Italia-6762 serves to the end", "yes",
              "yes" if 6762 in final else "no"),
-        _row("Gold Data-28007 is a recent addition", "yes",
+        row("Gold Data-28007 is a recent addition", "yes",
              "yes" if archive.provider_intervals(AS_CANTV, 28007)[0][0] >= Month(2021, 1)
              else "no"),
     ]
@@ -79,18 +75,18 @@ def fig10_latam_ixps(scenario: Scenario) -> Exhibit:
     heatmap = ixp_coverage_heatmap(snapshot, estimates)
     ve_cells = [key for key in heatmap if key[0] == "VE"]
     rows = [
-        _row("AR-IX coverage of Argentina (%)", 62.4,
+        row("AR-IX coverage of Argentina (%)", 62.4,
              eyeball_coverage_pct(snapshot, estimates, "AR-IX", "AR")),
-        _row("IX.br coverage of Brazil (%)", 45.53,
+        row("IX.br coverage of Brazil (%)", 45.53,
              eyeball_coverage_pct(snapshot, estimates, "IX.br (SP)", "BR")),
-        _row("PIT Chile coverage of Chile (%)", 49.57,
+        row("PIT Chile coverage of Chile (%)", 49.57,
              eyeball_coverage_pct(snapshot, estimates, "PIT Chile (SCL)", "CL")),
-        _row("VE rows in the largest-IXP heatmap", 0, len(ve_cells)),
-        _row("VE coverage via Equinix Bogota (%)", 4.0,
+        row("VE rows in the largest-IXP heatmap", 0, len(ve_cells)),
+        row("VE coverage via Equinix Bogota (%)", 4.0,
              eyeball_coverage_pct(snapshot, estimates, "Equinix Bogota", "VE")),
-        _row("countries with a largest IXP", None, len(largest)),
-        _row("Venezuela hosts an IXP", "no", "no" if "VE" not in largest else "yes"),
-        _row("Uruguay present abroad (AR-IX, %)", 78.96,
+        row("countries with a largest IXP", None, len(largest)),
+        row("Venezuela hosts an IXP", "no", "no" if "VE" not in largest else "yes"),
+        row("Uruguay present abroad (AR-IX, %)", 78.96,
              eyeball_coverage_pct(snapshot, estimates, "AR-IX", "UY")),
     ]
     return Exhibit("fig10", "Eyeball coverage of Latin American IXPs", rows)
@@ -108,13 +104,13 @@ def fig21_us_ixps(scenario: Scenario) -> Exhibit:
     mx_exchanges = sorted({ix for (cc, ix) in heatmap if cc == "MX"})
     uy_exchanges = sorted({ix for (cc, ix) in heatmap if cc == "UY"})
     rows = [
-        _row("VE networks at US IXPs", 7, ve_networks),
-        _row("VE eyeballs via US IXPs (%)", 7.0, ve_pct),
-        _row("UY distinct networks in the US", None, uy_networks),
-        _row("UY eyeballs via US IXPs (%)", None, uy_pct),
-        _row("UY concentrates at few exchanges", "<=4", len(uy_exchanges)),
-        _row("BR present across many exchanges", ">=5", len(br_exchanges)),
-        _row("MX present across many exchanges", ">=3", len(mx_exchanges)),
+        row("VE networks at US IXPs", 7, ve_networks),
+        row("VE eyeballs via US IXPs (%)", 7.0, ve_pct),
+        row("UY distinct networks in the US", None, uy_networks),
+        row("UY eyeballs via US IXPs (%)", None, uy_pct),
+        row("UY concentrates at few exchanges", "<=4", len(uy_exchanges)),
+        row("BR present across many exchanges", ">=5", len(br_exchanges)),
+        row("MX present across many exchanges", ">=3", len(mx_exchanges)),
     ]
     return Exhibit("fig21", "Latin American networks at IXPs in the US", rows)
 

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core.exhibit import Exhibit, register
+from repro.core.exhibit import Exhibit, register, row
 from repro.core.scenario import Scenario
 from repro.macro.store import Indicator, annual
 from repro.timeseries.stats import peak_decline_pct
-
-
-def _row(metric: str, paper: object, measured: object) -> dict[str, object]:
-    return {"metric": metric, "paper": paper, "measured": measured}
 
 
 @register("fig01")
@@ -21,17 +17,17 @@ def fig01_macro_collapse(scenario: Scenario) -> Exhibit:
     inflation = store.series(Indicator.INFLATION, "VE")
     population = store.series(Indicator.POPULATION, "VE")
     rows = [
-        _row("oil production decline from peak (%)", 81.49, peak_decline_pct(oil)),
-        _row(
+        row("oil production decline from peak (%)", 81.49, peak_decline_pct(oil)),
+        row(
             "oil production decline since 2013 (%)",
             77.0,
             peak_decline_pct(oil, since=annual(2013)),
         ),
-        _row("GDP per capita decline from peak (%)", 70.90, peak_decline_pct(gdp)),
-        _row("inflation peak (%)", 32_000.0, inflation.max()),
-        _row("inflation peak year", 2019, inflation.argmax().year),
-        _row("population decline from peak (%)", 13.85, peak_decline_pct(population)),
-        _row(
+        row("GDP per capita decline from peak (%)", 70.90, peak_decline_pct(gdp)),
+        row("inflation peak (%)", 32_000.0, inflation.max()),
+        row("inflation peak year", 2019, inflation.argmax().year),
+        row("population decline from peak (%)", 13.85, peak_decline_pct(population)),
+        row(
             "population lost since peak (millions)",
             4.25,
             population.max() - population.last_value(),
@@ -46,14 +42,14 @@ def fig13_gdp_rank_path(scenario: Scenario) -> Exhibit:
     panel = scenario.macro.panel(Indicator.GDP_PER_CAPITA)
     paper_ranks = (3, 2, 8, 9, 7, 6, 6, 18, 23)
     rows = [
-        _row(
+        row(
             f"VE GDP pc rank in {year}",
             paper_rank,
             panel.rank_in_month("VE", annual(year)),
         )
         for year, paper_rank in zip(range(1980, 2021, 5), paper_ranks)
     ]
-    rows.append(_row("economies in panel", None, len(panel)))
+    rows.append(row("economies in panel", None, len(panel)))
     return Exhibit(
         "fig13", "GDP per capita rank of Venezuela in the LACNIC region", rows
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import statistics
 
-from repro.core.exhibit import Exhibit, register
+from repro.core.exhibit import Exhibit, register, row
 from repro.core.scenario import Scenario
 from repro.atlas.traceroute import min_rtt_per_probe_month
 from repro.geo.venezuela import distance_to_colombian_border_km
@@ -13,10 +13,6 @@ from repro.timeseries.month import Month
 from repro.timeseries.panel import CountryPanel
 from repro.timeseries.series import MonthlySeries
 from repro.timeseries.stats import half_year_value, stagnation_months
-
-
-def _row(metric: str, paper: object, measured: object) -> dict[str, object]:
-    return {"metric": metric, "paper": paper, "measured": measured}
 
 
 @register("fig11")
@@ -30,17 +26,17 @@ def fig11_bandwidth(scenario: Scenario) -> Exhibit:
     # medians before measuring the length of the sub-1-Mbps era.
     ve_smooth = ve.rolling_mean(3)
     rows = [
-        _row("VE months below 1 Mbps (longest run)", 120,
+        row("VE months below 1 Mbps (longest run)", 120,
              float(stagnation_months(ve_smooth, 1.0))),
-        _row("VE median July 2023 (Mbps)", 2.93, ve[july_2023]),
-        _row("UY median July 2023 (Mbps)", 47.33, panel["UY"][july_2023]),
-        _row("BR median July 2023 (Mbps)", 32.44, panel["BR"][july_2023]),
-        _row("CL median July 2023 (Mbps)", 25.25, panel["CL"][july_2023]),
-        _row("AR median July 2023 (Mbps)", 15.48, panel["AR"][july_2023]),
-        _row("MX median July 2023 (Mbps)", 18.66, panel["MX"][july_2023]),
-        _row("VE / regional mean, 2009", 0.89, norm[Month(2009, 6)]),
-        _row("VE / regional mean, 2023", 0.17, norm[july_2023]),
-        _row("VE recovers past 1 Mbps after 2021", "yes",
+        row("VE median July 2023 (Mbps)", 2.93, ve[july_2023]),
+        row("UY median July 2023 (Mbps)", 47.33, panel["UY"][july_2023]),
+        row("BR median July 2023 (Mbps)", 32.44, panel["BR"][july_2023]),
+        row("CL median July 2023 (Mbps)", 25.25, panel["CL"][july_2023]),
+        row("AR median July 2023 (Mbps)", 15.48, panel["AR"][july_2023]),
+        row("MX median July 2023 (Mbps)", 18.66, panel["MX"][july_2023]),
+        row("VE / regional mean, 2009", 0.89, norm[Month(2009, 6)]),
+        row("VE / regional mean, 2023", 0.17, norm[july_2023]),
+        row("VE recovers past 1 Mbps after 2021", "yes",
              "yes" if ve[Month(2022, 6)] > 1.0 else "no"),
     ]
     return Exhibit("fig11", "Median download speeds (M-Lab NDT)", rows)
@@ -78,16 +74,16 @@ def fig12_gpdns_rtt(scenario: Scenario) -> Exhibit:
     }
     rows = []
     for cc, (h2016, h2023) in paper_halves.items():
-        rows.append(_row(f"{cc} median RTT 2016 H1 (ms)", h2016, half(cc, 2016, 1)))
-        rows.append(_row(f"{cc} median RTT 2023 H2 (ms)", h2023, half(cc, 2023, 2)))
+        rows.append(row(f"{cc} median RTT 2016 H1 (ms)", h2016, half(cc, 2016, 1)))
+        rows.append(row(f"{cc} median RTT 2023 H2 (ms)", h2023, half(cc, 2023, 2)))
     lacnic_mean = statistics.fmean(
         half(cc, 2023, 2) for cc in panel.countries()
     )
     ve_2023 = half("VE", 2023, 2)
-    rows.append(_row("LACNIC mean 2023 H2 (ms)", 17.74, lacnic_mean))
-    rows.append(_row("VE / LACNIC ratio", 2.06, ve_2023 / lacnic_mean))
+    rows.append(row("LACNIC mean 2023 H2 (ms)", 17.74, lacnic_mean))
+    rows.append(row("VE / LACNIC ratio", 2.06, ve_2023 / lacnic_mean))
     rows.append(
-        _row("VE / BR ratio", 4.86, ve_2023 / half("BR", 2023, 2))
+        row("VE / BR ratio", 4.86, ve_2023 / half("BR", 2023, 2))
     )
     return Exhibit("fig12", "Median RTT to Google Public DNS", rows)
 
@@ -129,16 +125,16 @@ def fig20_probe_map(scenario: Scenario) -> Exhibit:
         if rtt > 40.0:
             slow_distances.append(distance)
     rows = [
-        _row("probes on the map", 30, float(len(probes))),
-        _row("probes under 10 ms", None, bins["<10ms"]),
-        _row("probes 10-20 ms", None, bins["10-20ms"]),
-        _row("probes 20-40 ms", None, bins["20-40ms"]),
-        _row("probes above 40 ms", None, bins[">40ms"]),
-        _row("fast probes sit on the Colombian border (max km)", "<100",
+        row("probes on the map", 30, float(len(probes))),
+        row("probes under 10 ms", None, bins["<10ms"]),
+        row("probes 10-20 ms", None, bins["10-20ms"]),
+        row("probes 20-40 ms", None, bins["20-40ms"]),
+        row("probes above 40 ms", None, bins[">40ms"]),
+        row("fast probes sit on the Colombian border (max km)", "<100",
              max(fast_distances) if fast_distances else 0.0),
-        _row("slow probes sit far east (min km)", ">800",
+        row("slow probes sit far east (min km)", ">800",
              min(slow_distances) if slow_distances else 0.0),
-        _row("minimum VE RTT (no domestic GPDNS)", ">5",
+        row("minimum VE RTT (no domestic GPDNS)", ">5",
              min(rtt for (pid, m), rtt in minima.items()
                  if m == month and pid in probes)),
     ]

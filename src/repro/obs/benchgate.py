@@ -11,8 +11,8 @@ tolerance.  Both artifact families are understood:
   (**higher is better**) and warm latency percentiles (**lower is
   better**).  The cold phase is deliberately ungated: its first-contact
   cost is dominated by the machine's disk and is too noisy to gate on.
-* ``repro.bench.serve/2`` (two-engine serving layer) — warm throughput
-  per engine (**higher is better**) and the asyncio engine's warm
+* ``repro.bench.serve/2`` (serving layer, keyed by engine) — the
+  asyncio engine's warm throughput (**higher is better**) and warm
   p50/p99 (**lower is better**).  Warmup is excluded by the harness,
   so every gated number is steady-state.
 
@@ -72,13 +72,12 @@ def extract_gate_metrics(artifact: dict) -> dict[str, tuple[float, str]]:
             if isinstance(value, (int, float)):
                 metrics[f"phases.warm.latency_ms.{quantile}"] = (float(value), LOWER)
     elif schema == "repro.bench.serve/2":
-        for engine in ("threaded", "asyncio"):
-            rps = _dig(artifact, "engines", engine, "warm", "requests_per_second")
-            if isinstance(rps, (int, float)):
-                metrics[f"engines.{engine}.warm.requests_per_second"] = (
-                    float(rps),
-                    HIGHER,
-                )
+        rps = _dig(artifact, "engines", "asyncio", "warm", "requests_per_second")
+        if isinstance(rps, (int, float)):
+            metrics["engines.asyncio.warm.requests_per_second"] = (
+                float(rps),
+                HIGHER,
+            )
         for quantile in ("p50", "p99"):
             value = _dig(
                 artifact, "engines", "asyncio", "warm", "latency_ms", quantile

@@ -1,11 +1,10 @@
 """repro.serve: a concurrent HTTP API over the paper pipeline.
 
-Turns the one-shot CLI into a long-lived service (stdlib only).  Two
-engines share one routing/envelope/artifact substrate: the original
-threaded engine (``http.server.ThreadingHTTPServer``) and the asyncio
-engine (:mod:`repro.serve.aio`), which serves a precomputed, sealed
-:class:`~repro.serve.artifacts.ArtifactStore` at 10k+ req/s on one
-core.  The pieces, smallest first:
+Turns the one-shot CLI into a long-lived service (stdlib only).  One
+engine serves it: :mod:`repro.serve.aio`, an asyncio front end that
+answers every static path from a content-addressed artifact plane with
+one dict lookup and one zero-copy write, and everything else on a live
+path.  The pieces, smallest first:
 
 * :mod:`repro.serve.router` -- the route table, typed path parameters,
   and the uniform ``{"data": ...}`` / ``{"error": ...}`` JSON envelopes
@@ -14,45 +13,37 @@ core.  The pieces, smallest first:
   :class:`~repro.core.scenario.Scenario` per parameter set shared across
   request threads, with single-flight deduplication so N concurrent cold
   requests trigger exactly one ``build_all``.
-* :mod:`repro.serve.respcache` -- :class:`ResponseCache`: an in-memory
-  LRU of rendered responses keyed by (scenario params, endpoint, args),
-  bounded by entries and bytes; every replay is byte-identical and
-  ``If-None-Match`` revalidates to 304.
-* :mod:`repro.serve.artifacts` -- :class:`ArtifactStore`: the whole
-  static response surface pre-rendered at pool-build time,
-  content-addressed (strong SHA-256 ETags) and sealed immutable.
-* :mod:`repro.serve.server` / :mod:`repro.serve.handlers` -- the
-  threaded HTTP plumbing, graceful SIGTERM drain, and the endpoint
-  implementations: ``/healthz``, ``/metrics``, ``/v1/slo``,
-  ``/v1/exhibits``, ``/v1/exhibit/<id>``, ``/v1/report``,
-  ``/v1/narrative``, ``/v1/scorecard/<cc>``.
-* :mod:`repro.serve.aio` -- the asyncio front end: keep-alive HTTP/1.1,
-  zero-copy writes of sealed artifacts, optional pre-forked
-  ``SO_REUSEPORT`` workers, identical bytes to the threaded engine.
+* :mod:`repro.serve.artifacts` -- the static response surface (59
+  responses), rendered one at a time or sealed whole into an immutable
+  :class:`ArtifactStore`; each response is addressed by its SHA-256.
+* :mod:`repro.serve.server` -- :class:`~repro.serve.server.ServingSurface`,
+  one serving generation: context, artifact plane and wire table.
+* :mod:`repro.serve.handlers` -- the endpoint implementations:
+  ``/healthz``, ``/metrics``, ``/v1/slo``, ``/v1/exhibits``,
+  ``/v1/exhibit/<id>``, ``/v1/report``, ``/v1/narrative``,
+  ``/v1/scorecard/<cc>`` and ``POST /v1/ingest/<format>``.
+* :mod:`repro.serve.ingestor` -- durable ingestion behind
+  ``POST /v1/ingest``: journal, background apply, surface hot-swap.
+* :mod:`repro.serve.aio` -- the server: keep-alive HTTP/1.1, the live
+  path's hardening and tracing, graceful SIGTERM drain, and optional
+  pre-forked ``SO_REUSEPORT`` workers.
 
-Entry points: ``python -m repro serve [--engine asyncio|threaded]``
-(CLI) or, embedded::
-
-    from repro.serve import create_server, run
-
-    server = create_server(port=8321, jobs=4, prebuild=True)
-    run(server)        # serves until SIGTERM/SIGINT, then drains
+Entry points: ``python -m repro serve`` (CLI) or, embedded::
 
     from repro.serve import create_aio_server, run_aio
 
-    run_aio(create_aio_server(port=8321, jobs=4))   # artifact plane
+    run_aio(create_aio_server(port=8321, jobs=4))   # seals, then serves
 
-See ``docs/SERVING.md`` for endpoint shapes, caching semantics, and
-tuning guidance.
+See ``docs/SERVING.md`` for endpoint shapes, the plane rule, and tuning
+guidance.
 """
 
-from repro.serve.aio import AioReproServer, create_aio_server, run_aio, run_workers
+from repro.serve.aio import AioServer, create_aio_server, run_aio, run_workers
 from repro.serve.artifacts import Artifact, ArtifactStore, build_artifact_store
 from repro.serve.breaker import BreakerOpenError, CircuitBreaker
 from repro.serve.deadline import DeadlineExpired, deadline_scope
 from repro.serve.handlers import ServeContext, build_router
 from repro.serve.pool import PoolTimeoutError, ScenarioPool, params_key
-from repro.serve.respcache import CachedResponse, ResponseCache
 from repro.serve.router import (
     HTTPError,
     RawResponse,
@@ -64,36 +55,30 @@ from repro.serve.router import (
     etag_matches,
     to_json_bytes,
 )
-from repro.serve.server import ReproServer, create_server, run
 
 __all__ = [
-    "AioReproServer",
+    "AioServer",
     "Artifact",
     "ArtifactStore",
     "BreakerOpenError",
-    "CachedResponse",
     "CircuitBreaker",
     "DeadlineExpired",
     "HTTPError",
     "PoolTimeoutError",
     "RawResponse",
-    "ReproServer",
     "Route",
     "Router",
     "ScenarioPool",
     "ServeContext",
-    "ResponseCache",
     "build_artifact_store",
     "build_router",
     "create_aio_server",
-    "create_server",
     "deadline_scope",
     "envelope_bytes",
     "error_bytes",
     "etag_for",
     "etag_matches",
     "params_key",
-    "run",
     "run_aio",
     "run_workers",
     "to_json_bytes",

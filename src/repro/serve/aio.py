@@ -1,45 +1,48 @@
-"""The asyncio front end: zero-copy serving of the sealed artifact plane.
+"""The HTTP server: one asyncio engine in front of the artifact plane.
 
 One event loop, one ``asyncio.Protocol`` per connection, HTTP/1.1 with
-keep-alive.  At server construction every
-:class:`~repro.serve.artifacts.Artifact` is compiled into two immutable
-wire images — the full ``200`` (status line + headers + body) and the
-``304 Not Modified`` revalidation — so the static hot path per request
-is: find the header terminator, read the request line, one dict lookup,
-one ``transport.write`` of a sealed :class:`memoryview`.  No rendering,
-no locks, no per-request allocation beyond the parse.  That is what
-moves the serving ceiling from ~188 req/s (threaded engine, per-request
-render/cache machinery) to 10k+ req/s on one core.
+keep-alive.  The server holds one current
+:class:`~repro.serve.server.ServingSurface` (context, artifact plane,
+wire table) and answers each request one of two ways
+(``docs/SERVING.md`` tabulates what each carries):
 
-Only genuinely dynamic endpoints — ``/healthz``, ``/metrics``,
-``/v1/slo`` — plus error envelopes and case-folded artifact lookups go
-through the live dispatch path; those run on a small thread pool so a
-slow handler can never stall the event loop, and they carry the same
-hardening as the threaded engine: per-request deadlines, max-inflight
-shedding with 503 + ``Retry-After`` (health endpoints exempt), circuit
-breaker and pool timeouts surfacing as 503s.
+* **Static** -- an untraced GET whose path is in the wire table: one
+  dict lookup and one ``transport.write`` of a precompiled
+  :class:`memoryview`.  No handler, no locks, no per-request headers.
+* **Live** -- everything else (``/healthz``, ``/metrics``, ``/v1/slo``,
+  ``POST /v1/ingest/<format>``, errors, case-folded paths, a static
+  path not rendered yet, traced requests).  Handlers run on a small
+  thread pool under per-request deadlines, max-inflight shedding (503 +
+  ``Retry-After``; health endpoints and plane hits exempt) and the
+  breaker; responses carry ``X-Request-Id`` and ``traceparent`` and are
+  recorded in the SLO window and the access log.
+
+**The plane rule.**  A server given a sealed store serves the whole
+plane from its first request (:func:`create_aio_server` seals one when
+called without; ``repro serve --workers N`` seals before it forks).  A
+server built without one fills its plane lazily: a static path's first
+request renders it with :func:`~repro.serve.artifacts.render_artifact`,
+the seal's own render, and memoizes it into the surface that request
+captured.  Artifacts are addressed by the SHA-256 of their bytes, so
+both serve one plane.
+
+An ingest apply publishes a new surface with
+:meth:`AioServer.swap_surface`; ``_process`` reads the surface once per
+call, so a request sees one generation whole.  A request sampled by
+``trace_sample_rate``, or carrying a valid ``traceparent``, records the
+``serve.request.<endpoint>`` root span and, with ``trace_dir`` set,
+exports a ``repro.trace/1`` artifact.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the accept loop, idle
-keep-alive connections are closed, and every request already received is
-answered before the process exits — ``transport.close()`` flushes
-buffered responses, and in-flight dynamic handlers finish before their
-connections close.
+connections close, and every request already received is answered
+before the process exits.  ``--workers N`` pre-forks after the seal and
+binds one ``SO_REUSEPORT`` socket per worker (or shares the parent's).
 
-Multi-worker mode (``--workers N``) pre-forks after the artifact plane
-is built (workers share it copy-on-write) and binds one listening
-socket per worker with ``SO_REUSEPORT`` so the kernel load-balances
-accepts; without ``SO_REUSEPORT`` the workers share the parent's
-socket instead.
-
-Observability (batched, so instruments never dominate the hot path):
-``serve.requests`` and ``serve.artifact.hit`` are flushed every
-:data:`_FLUSH_EVERY` requests and on disconnect; the
-``serve.request.artifact`` timer samples one static request in
-:data:`_TIMER_SAMPLE`; dynamic requests record the same per-endpoint
-``serve.request.<name>`` timers and error counters as the threaded
-engine.  Static responses do not carry per-request ``X-Request-Id`` /
-``traceparent`` headers (they are pre-sealed bytes); dynamic responses
-do.
+Static responses count into ``serve.requests`` / ``serve.artifact.hit``
+in batches (every :data:`_FLUSH_EVERY` and on disconnect), and one in
+:data:`_TIMER_SAMPLE` lands in the ``serve.request.artifact`` timer;
+live ones count at once and time each handler run or render into
+``serve.request.<endpoint>``.
 """
 
 from __future__ import annotations
@@ -52,16 +55,23 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
+from urllib.parse import parse_qs
 
 from repro.core.degrade import DatasetDegradedError
 from repro.obs import (
+    TraceContext,
     get_logger,
     get_registry,
+    get_tracer,
+    new_span_id,
     start_request_context,
     use_context,
+    write_trace_json,
 )
-from repro.serve.artifacts import Artifact, ArtifactStore
+from repro.serve.artifacts import Artifact, ArtifactStore, render_artifact
 from repro.serve.breaker import BreakerOpenError
 from repro.serve.deadline import DeadlineExpired, deadline_scope
 from repro.serve.handlers import build_router
@@ -70,11 +80,13 @@ from repro.serve.router import (
     JSON_CONTENT_TYPE,
     HTTPError,
     RawResponse,
+    Route,
     Router,
     envelope_bytes,
     error_bytes,
     etag_matches,
 )
+from repro.serve.server import MAX_BODY_BYTES, ServingSurface
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.handlers import ServeContext
@@ -89,38 +101,21 @@ _TIMER_SAMPLE = 64
 
 _REASONS = {
     200: "OK", 304: "Not Modified", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 422: "Unprocessable Entity",
+    405: "Method Not Allowed", 413: "Content Too Large",
+    422: "Unprocessable Entity", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
-#: Endpoints exempt from load shedding (mirrors the threaded engine).
+#: Endpoints exempt from load shedding: health must stay observable
+#: exactly when the server is saturated.
 _SHED_EXEMPT = ("healthz", "metrics")
+
+#: A live outcome: status, body, content type, ETag, extra headers.
+_Outcome = tuple[int, bytes, str, "str | None", "dict[str, str] | None"]
 
 
 def _reason(status: int) -> str:
     return _REASONS.get(status, "Unknown")
-
-
-class _Wire:
-    """One artifact compiled to immutable wire images."""
-
-    __slots__ = ("full", "not_modified", "etag")
-
-    def __init__(self, artifact: Artifact) -> None:
-        head = (
-            f"HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {artifact.content_type}\r\n"
-            f"Content-Length: {len(artifact.body)}\r\n"
-            f"ETag: {artifact.etag}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        self.full = memoryview(head + artifact.body)
-        self.not_modified = memoryview(
-            f"HTTP/1.1 304 Not Modified\r\nETag: {artifact.etag}\r\n\r\n".encode(
-                "latin-1"
-            )
-        )
-        self.etag = artifact.etag
 
 
 def _response_bytes(
@@ -149,8 +144,20 @@ def _response_bytes(
     return head if status == 304 else head + body
 
 
-def _header_value(lower_blob: bytes, name: bytes) -> str | None:
-    """The value of header *name* (lower-case) in a lower-cased blob."""
+def _error(err: HTTPError) -> _Outcome:
+    return (
+        err.status,
+        error_bytes(err.status, err.message, **err.extra),
+        JSON_CONTENT_TYPE, None, err.headers,
+    )
+
+
+def _header_value(blob: bytes, lower_blob: bytes, name: bytes) -> str | None:
+    """The value of header *name* (lower-case), as sent, or None.
+
+    Searched in the lower-cased *lower_blob*; the value is sliced from
+    *blob* at the same offsets, so its case survives.
+    """
     needle = name + b":"
     start = lower_blob.find(needle)
     while start > 0 and lower_blob[start - 1 : start] != b"\n":
@@ -160,28 +167,48 @@ def _header_value(lower_blob: bytes, name: bytes) -> str | None:
     end = lower_blob.find(b"\r\n", start)
     if end < 0:
         end = len(lower_blob)
-    return lower_blob[start + len(needle) : end].strip().decode("latin-1")
+    return blob[start + len(needle) : end].strip().decode("latin-1")
+
+
+@dataclass(slots=True, eq=False)
+class _Request:
+    """One live request, parsed on the loop and answered off it."""
+
+    surface: ServingSurface  # the generation the request captured
+    method: str
+    path: str
+    query: str
+    blob: bytes  # the header block, as sent
+    lower: bytes  # the header block, lower-cased
+    close: bool
+    rc: TraceContext | None = None  # set when the static path traced it
+    route: Route | None = None
+    params: dict[str, str] = field(default_factory=dict)
+    error: HTTPError | None = None  # routing or body-framing failure
+    body: bytes | bytearray = b""
+    length: int = 0  # declared body length while the body is arriving
 
 
 class _AioProtocol(asyncio.Protocol):
-    """Per-connection HTTP/1.1 state machine over the sealed wire table."""
+    """Per-connection HTTP/1.1 state machine over the surface's wire table."""
 
     __slots__ = (
         "server", "transport", "_buf", "_busy", "_skip", "_close_after",
-        "_draining", "_n_static", "_n_304", "_sample",
+        "_draining", "_n_static", "_n_304", "_sample", "_parked",
     )
 
-    def __init__(self, server: "AioReproServer") -> None:
+    def __init__(self, server: "AioServer") -> None:
         self.server = server
         self.transport: asyncio.Transport | None = None
         self._buf = b""
-        self._busy = False          # a dynamic request is in flight
+        self._busy = False          # a live request is in flight
         self._skip = 0              # request-body bytes left to discard
         self._close_after = False   # close once the current write flushes
         self._draining = False
         self._n_static = 0          # batched serve.requests delta
         self._n_304 = 0             # batched serve.response.not_modified delta
         self._sample = 0
+        self._parked: _Request | None = None  # waiting for its body
 
     # -- connection lifecycle ------------------------------------------------
 
@@ -209,9 +236,21 @@ class _AioProtocol(asyncio.Protocol):
     # -- request parsing -----------------------------------------------------
 
     def data_received(self, data: bytes) -> None:
+        parked = self._parked
+        if parked is not None:
+            # A live request's body is still arriving.
+            take = parked.length - len(parked.body)
+            parked.body += data[:take]
+            if len(parked.body) < parked.length:
+                return
+            self._parked = None
+            parked.body = bytes(parked.body)
+            self._buf = data[take:]
+            self._dispatch(parked)
+            return
         buf = self._buf + data if self._buf else data
         if self._busy:
-            # A dynamic response is pending; preserve ordering by
+            # A live response is pending; preserve ordering by
             # buffering pipelined requests until it completes.
             self._buf = buf
             return
@@ -220,7 +259,10 @@ class _AioProtocol(asyncio.Protocol):
     def _process(self, buf: bytes) -> None:
         transport = self.transport
         assert transport is not None
-        wire = self.server._wire
+        server = self.server
+        surface = server.surface  # one generation for every request below
+        wire = surface.wire
+        sample_rate = server.trace_sample_rate
         out: list[bytes | memoryview] = []
         sampling_t0 = 0.0
         while True:
@@ -264,23 +306,28 @@ class _AioProtocol(asyncio.Protocol):
 
             entry = wire.get(path) if method == b"GET" else None
             lower = headers_blob.lower()
-            length = _header_value(lower, b"content-length")
-            if length is not None and length.isdigit():
-                self._skip = int(length)
+            length = _header_value(headers_blob, lower, b"content-length")
             wants_close = (
                 version == b"HTTP/1.0"
                 and b"connection: keep-alive" not in lower
             ) or b"connection: close" in lower
+            rc = None
+            if entry is not None and (sample_rate or b"traceparent" in lower):
+                rc = server._request_context(headers_blob, lower)
+                if rc.sampled or rc.remote:
+                    entry = None  # a traced request takes the live path
 
             if entry is not None:
                 # The static plane: sealed bytes, no handler, no locks.
+                if length is not None and length.isdigit():
+                    self._skip = int(length)
                 self._sample += 1
                 if self._sample >= _TIMER_SAMPLE:
                     self._sample = 0
                     sampling_t0 = time.perf_counter()
                 self._n_static += 1
                 inm = (
-                    _header_value(lower, b"if-none-match")
+                    _header_value(headers_blob, lower, b"if-none-match")
                     if b"if-none-match" in lower
                     else None
                 )
@@ -301,16 +348,33 @@ class _AioProtocol(asyncio.Protocol):
                     break
                 continue
 
-            # Dynamic dispatch: flush what we have, keep ordering by
-            # parking the rest of the buffer until the handler answers.
+            # The live path: flush what we have, keep ordering by parking
+            # the rest of the buffer until the handler answers.
+            request = _Request(
+                surface,
+                method.decode("latin-1"),
+                path.decode("latin-1"),
+                target[q + 1 :].decode("latin-1") if q >= 0 else "",
+                headers_blob,
+                lower,
+                wants_close,
+                rc,
+            )
+            try:
+                request.route, request.params = server.router.match(
+                    request.method, request.path
+                )
+            except HTTPError as err:
+                request.error = err
+            if request.route is not None and request.route.accepts_body:
+                buf = self._frame_body(request, length, buf)
+            elif length is not None and length.isdigit():
+                self._skip = int(length)
             self._buf = buf
             if out:
                 transport.writelines(out)
-            self._busy = True
-            task = self.server._loop.create_task(
-                self._run_dynamic(method, path, headers_blob, lower, wants_close)
-            )
-            self.server._track(task)
+            if self._parked is None:
+                self._dispatch(request)
             return
 
         self._buf = buf
@@ -321,30 +385,52 @@ class _AioProtocol(asyncio.Protocol):
         if self._close_after or (self._draining and not self._buf):
             transport.close()
 
-    # -- dynamic path --------------------------------------------------------
+    def _frame_body(self, request: _Request, length: str | None, buf: bytes) -> bytes:
+        """Take *request*'s body off *buf*; returns what follows it.
 
-    async def _run_dynamic(
-        self,
-        method: bytes,
-        path: bytes,
-        headers_blob: bytes,
-        lower: bytes,
-        wants_close: bool,
-    ) -> None:
+        An unparseable or oversized ``Content-Length`` becomes the
+        request's error (422 / 413) without buffering the body, and the
+        connection closes after the answer, since the next request's
+        start is unknown.  A body not yet whole parks the request until
+        :meth:`data_received` completes it.
+        """
+        length = "0" if length is None else length
+        if not length.isdigit():
+            request.error = HTTPError(422, "unparseable Content-Length")
+        elif int(length) > MAX_BODY_BYTES:
+            request.error = HTTPError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte bound",
+            )
+        if request.error is not None:
+            request.close = True
+            return b""
+        need = int(length)
+        if len(buf) < need:
+            request.body = bytearray(buf)
+            request.length = need
+            self._parked = request
+            return b""
+        request.body = buf[:need]
+        return buf[need:]
+
+    # -- live path -----------------------------------------------------------
+
+    def _dispatch(self, request: _Request) -> None:
+        self._busy = True
+        server = self.server
+        server._track(server._loop.create_task(self._run_live(request)))
+
+    async def _run_live(self, request: _Request) -> None:
         transport = self.transport
         try:
-            payload = await self.server.dispatch_dynamic(
-                method.decode("latin-1"),
-                path.decode("latin-1"),
-                headers_blob,
-                lower,
-                close=wants_close,
-            )
+            payload = await self.server._answer(request)
             if transport is not None and not transport.is_closing():
                 transport.write(payload)
         finally:
             self._busy = False
-            if wants_close:
+            if request.close:
                 self._close_after = True
             if transport is not None and not transport.is_closing():
                 if self._close_after:
@@ -363,37 +449,41 @@ class _AioProtocol(asyncio.Protocol):
         if self.transport is None or self.transport.is_closing():
             return
         if not self._busy and not self._buf:
-            # Idle (or every buffered request already answered):
-            # close() flushes any pending response bytes first.
+            # Idle (or every buffered request already answered, or a
+            # body still arriving): close() flushes pending bytes first.
             self.transport.close()
 
 
-class AioReproServer:
-    """The asyncio engine: sealed artifact plane + live dynamic path.
+class AioServer:
+    """The server: a serving surface behind an asyncio HTTP/1.1 front end.
 
     Construct, then either :func:`run_aio` (blocking, with signal
     handling) or ``await server.start()`` inside an existing loop.
 
     Args:
-        context: Shared pool/params/SLO context (same type the threaded
-            engine uses).
-        artifacts: The sealed store to serve; every artifact is
-            precompiled to wire images here.
+        context: Shared pool/params/SLO context of the first surface.
+        artifacts: A sealed store to serve from the first request; None
+            starts with an empty plane that fills as each static path is
+            first requested (see the module docstring's plane rule).
         host, port: Bind address (port 0 picks an ephemeral port).
-        router: Route table for the dynamic path (default
+        router: Route table for the live path (default
             :func:`~repro.serve.handlers.build_router`).
-        deadline_seconds: Wall-time budget per dynamic request.
-        max_inflight: Dynamic requests allowed in flight before
-            shedding with 503 (``/healthz`` and ``/metrics`` exempt).
-        verbose: Log one access line per dynamic request.
+        deadline_seconds: Wall-time budget per live request.
+        max_inflight: Live requests allowed in flight before shedding
+            with 503 (``/healthz``, ``/metrics`` and plane hits exempt).
+        verbose: Log one access line per live request.
         sock: Pre-bound listening socket (workers mode); overrides
             host/port.
+        trace_sample_rate: Fraction of requests traced (deterministic
+            head sampling on the trace id; 0 disables).
+        trace_dir: Directory traced requests export ``repro.trace/1``
+            artifacts into; None keeps spans in memory.
     """
 
     def __init__(
         self,
         context: "ServeContext",
-        artifacts: ArtifactStore,
+        artifacts: ArtifactStore | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         router: Router | None = None,
@@ -401,24 +491,21 @@ class AioReproServer:
         max_inflight: int | None = None,
         verbose: bool = False,
         sock: socket.socket | None = None,
+        trace_sample_rate: float = 0.0,
+        trace_dir: Path | str | None = None,
     ) -> None:
-        self.context = context
-        self.artifacts = artifacts
+        #: The current serving generation; replaced whole by
+        #: :meth:`swap_surface`.
+        self.surface = ServingSurface(context, artifacts or ())
         self.router = router if router is not None else build_router()
         self.host = host
         self.port = port
         self.deadline_seconds = deadline_seconds
         self.max_inflight = max_inflight
         self.verbose = verbose
+        self.trace_sample_rate = trace_sample_rate
+        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._sock = sock
-        self._wire: dict[bytes, _Wire] = {}
-        for artifact in artifacts:
-            self._wire[artifact.path.encode("latin-1")] = _Wire(artifact)
-        # Case-folded aliases for the common all-lowercase spelling of
-        # scorecard paths; anything else resolves through the router.
-        for artifact in artifacts:
-            alias = artifact.path.lower().encode("latin-1")
-            self._wire.setdefault(alias, self._wire[artifact.path.encode("latin-1")])
         self._connections: set[_AioProtocol] = set()
         self._tasks: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -429,6 +516,34 @@ class AioReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=8, thread_name_prefix="repro-aio-dyn"
         )
+
+    @property
+    def context(self) -> "ServeContext":
+        """The current surface's context."""
+        return self.surface.context
+
+    def swap_surface(
+        self, context: "ServeContext", artifacts: ArtifactStore | None
+    ) -> ServingSurface:
+        """Replace the serving surface with a new generation (any thread).
+
+        The new wire table compiles on the calling thread; one attribute
+        store then publishes it.  Requests that captured the old surface
+        finish on it; new requests see the new one.
+        """
+        surface = ServingSurface(
+            context, artifacts or (), generation=self.surface.generation + 1
+        )
+        self.surface = surface
+        registry = get_registry()
+        registry.counter("serve.surface.swapped").inc()
+        registry.gauge("serve.surface.generation").set(surface.generation)
+        _LOG.info(
+            "serve.surface.swapped",
+            generation=surface.generation,
+            artifacts=artifacts.fingerprint() if artifacts is not None else None,
+        )
+        return surface
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -446,7 +561,6 @@ class AioReproServer:
             )
         bound = self._listener.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
-        get_registry().gauge("serve.engine.asyncio").set(1)
         _LOG.info("serve.aio.listening", host=self.host, port=self.port)
 
     @property
@@ -514,162 +628,225 @@ class AioReproServer:
             _LOG.exception("serve.aio.task_error", task.exception())
         self._check_drained()
 
-    # -- dynamic dispatch ----------------------------------------------------
+    # -- the live path -------------------------------------------------------
 
-    async def dispatch_dynamic(
-        self,
-        method: str,
-        path: str,
-        headers_blob: bytes,
-        lower: bytes,
-        close: bool,
-    ) -> bytes:
-        """Route + render one live request; returns full response bytes."""
-        registry = get_registry()
-        registry.counter("serve.requests").inc()
-        rc = start_request_context(
-            traceparent=_header_value(lower, b"traceparent"),
-            request_id=_header_value(lower, b"x-request-id"),
-            sample_rate=0.0,
-            accept=_header_value(lower, b"accept") or "",
+    def _request_context(self, blob: bytes, lower: bytes) -> TraceContext:
+        return start_request_context(
+            traceparent=_header_value(blob, lower, b"traceparent"),
+            request_id=_header_value(blob, lower, b"x-request-id"),
+            sample_rate=self.trace_sample_rate,
+            accept=_header_value(blob, lower, b"accept") or "",
         )
-        trace_headers = {
-            "X-Request-Id": rc.request_id,
-            "traceparent": rc.traceparent(),
-        }
+
+    async def _answer(self, request: _Request) -> bytes:
+        """Answer one live request; returns the full response bytes."""
+        get_registry().counter("serve.requests").inc()
+        rc = request.rc or self._request_context(request.blob, request.lower)
+        root_parent = None
+        if rc.remote:
+            # The caller's span parents this request's root span, whose
+            # id the response's traceparent promises.
+            root_parent = rc.span_id
+            rc = rc.child(new_span_id())
         t0 = time.perf_counter()
-        try:
-            route, path_params = self.router.match(method, path)
-        except HTTPError as err:
-            return _response_bytes(
-                err.status,
-                error_bytes(err.status, err.message, **err.extra),
-                JSON_CONTENT_TYPE, None, err.headers, trace_headers, close,
-            )
-
-        # A routed request for a sealed artifact (case-folded path):
-        # serve the canonical bytes, no handler.
-        if route.cacheable:
-            artifact = self.artifacts.find(route.name, path_params)
-            if artifact is not None:
-                registry.counter("serve.artifact.hit").inc()
-                inm = _header_value(lower, b"if-none-match")
-                if inm is not None and etag_matches(inm, artifact.etag):
-                    registry.counter("serve.response.not_modified").inc()
-                    return _response_bytes(
-                        304, b"", artifact.content_type, artifact.etag,
-                        None, trace_headers, close,
-                    )
-                return _response_bytes(
-                    200, artifact.body, artifact.content_type, artifact.etag,
-                    None, trace_headers, close,
-                )
-
-        shed_guarded = (
-            self.max_inflight is not None and route.name not in _SHED_EXEMPT
-        )
-        if shed_guarded and self._inflight >= self.max_inflight:
-            registry.counter("serve.requests.shed").inc()
-            return _response_bytes(
-                503, error_bytes(503, "server saturated; request shed"),
-                JSON_CONTENT_TYPE, None, {"Retry-After": "1"},
-                trace_headers, close,
-            )
-
-        if shed_guarded:
-            self._inflight += 1
-        try:
-            status, body, content_type, etag, extra = await self._call_handler(
-                route, path_params, rc, registry
-            )
-        finally:
-            if shed_guarded:
-                self._inflight -= 1
-
+        if request.error is not None:
+            outcome = _error(request.error)
+        else:
+            outcome = await self._respond(request, rc, root_parent)
+        status = outcome[0]
         duration = time.perf_counter() - t0
-        slo = self.context.slo
+        slo = request.surface.context.slo
         if slo is not None:
             slo.record(ok=status < 500, latency_seconds=duration)
         if self.verbose:
             _LOG.info(
                 "serve.request.access",
-                method=method, path=path, status=status,
-                duration_ms=round(duration * 1e3, 2), endpoint=route.name,
+                method=request.method, path=request.path, status=status,
+                duration_ms=round(duration * 1e3, 2),
+                endpoint=request.route.name if request.route else None,
             )
-        return _response_bytes(
-            status, body, content_type, etag, extra, trace_headers, close
+        trace_headers = {
+            "X-Request-Id": rc.request_id,
+            "traceparent": rc.traceparent(),
+        }
+        return _response_bytes(*outcome, trace_headers, request.close)
+
+    async def _respond(
+        self, request: _Request, rc: TraceContext, root_parent: str | None
+    ) -> _Outcome:
+        route = request.route
+        assert route is not None
+        artifact = (
+            request.surface.find(route.name, request.params)
+            if route.cacheable
+            else None
         )
+        if artifact is not None and not rc.sampled:
+            return _artifact_outcome(artifact, request, hit=True)
+
+        registry = get_registry()
+        shed_guarded = (
+            self.max_inflight is not None
+            and route.name not in _SHED_EXEMPT
+            and artifact is None
+        )
+        if shed_guarded and self._inflight >= self.max_inflight:
+            registry.counter("serve.requests.shed").inc()
+            return _error(
+                HTTPError(
+                    503, "server saturated; request shed",
+                    headers={"Retry-After": "1"},
+                )
+            )
+        if shed_guarded:
+            self._inflight += 1
+        try:
+            result = await self._call_handler(request, rc, root_parent, artifact)
+        finally:
+            if shed_guarded:
+                self._inflight -= 1
+        if isinstance(result, Artifact):
+            return _artifact_outcome(result, request, hit=artifact is not None)
+        return result
 
     async def _call_handler(
-        self, route, path_params: dict[str, str], rc, registry
-    ) -> tuple[int, bytes, str, str | None, dict[str, str] | None]:
-        """Run the handler on the thread pool with the engine's hardening."""
-        assert self._loop is not None
-        deadline = self.deadline_seconds
+        self,
+        request: _Request,
+        rc: TraceContext,
+        root_parent: str | None,
+        artifact: Artifact | None,
+    ) -> "_Outcome | Artifact":
+        """Run the handler (or the plane render) on the thread pool.
 
-        def call() -> tuple[int, bytes, str, str | None]:
+        Inside the request's trace context and root span, its endpoint
+        timer and its deadline.  A cacheable route yields an
+        :class:`Artifact` -- *artifact* itself when the plane already
+        holds it, else a fresh render.
+        """
+        assert self._loop is not None
+        route = request.route
+        assert route is not None
+        context = request.surface.context
+        deadline = self.deadline_seconds
+        registry = get_registry()
+
+        def call() -> "_Outcome | Artifact":
             with use_context(rc):
-                with registry.timer(f"serve.request.{route.name}").time():
-                    with deadline_scope(deadline):
-                        result = route.handler(self.context, **path_params)
+                try:
+                    with get_tracer().span(
+                        f"serve.request.{route.name}",
+                        span_id=rc.span_id,
+                        parent_id=root_parent,
+                    ):
+                        with registry.timer(f"serve.request.{route.name}").time():
+                            with deadline_scope(deadline):
+                                result = artifact or _render(route, context, request)
+                finally:
+                    self._export_trace(rc)
+            if isinstance(result, Artifact):
+                return result
             if isinstance(result, RawResponse):
-                return result.status, result.body, result.content_type, None
-            return 200, envelope_bytes(result), JSON_CONTENT_TYPE, None
+                return result.status, result.body, result.content_type, None, None
+            return 200, envelope_bytes(result), JSON_CONTENT_TYPE, None, None
 
         try:
             future = self._loop.run_in_executor(self._executor, call)
-            if deadline is not None:
-                status, body, content_type, etag = await asyncio.wait_for(
-                    asyncio.shield(future), deadline
+            if artifact is None and route.cacheable:
+                # A render lands in the surface the request captured, even
+                # one that finishes after the request's deadline.
+                future.add_done_callback(
+                    lambda done: _remember(request.surface, done)
                 )
-            else:
-                status, body, content_type, etag = await future
-            return status, body, content_type, etag, None
+            if deadline is not None:
+                return await asyncio.wait_for(asyncio.shield(future), deadline)
+            return await future
         except HTTPError as err:
-            return (
-                err.status,
-                error_bytes(err.status, err.message, **err.extra),
-                JSON_CONTENT_TYPE, None, err.headers,
-            )
+            return _error(err)
         except asyncio.TimeoutError:
             registry.counter("serve.deadline.expired").inc()
             assert deadline is not None
-            exc = DeadlineExpired(deadline)
-            return (
-                503, error_bytes(503, str(exc), reason="DeadlineExpired"),
-                JSON_CONTENT_TYPE, None, {"Retry-After": "1"},
+            return _error(
+                HTTPError(
+                    503, str(DeadlineExpired(deadline)),
+                    headers={"Retry-After": "1"}, reason="DeadlineExpired",
+                )
             )
         except (BreakerOpenError, PoolTimeoutError, DeadlineExpired) as exc:
             retry_after = max(1, math.ceil(getattr(exc, "retry_after", 1.0)))
-            return (
-                503,
-                error_bytes(503, str(exc), reason=type(exc).__name__),
-                JSON_CONTENT_TYPE, None, {"Retry-After": str(retry_after)},
+            return _error(
+                HTTPError(
+                    503, str(exc),
+                    headers={"Retry-After": str(retry_after)},
+                    reason=type(exc).__name__,
+                )
             )
         except DatasetDegradedError as err:
-            return (
-                503,
-                error_bytes(
-                    503,
-                    f"dataset {err.name!r} unavailable: {err.reason}",
+            # Endpoints that can annotate coverage (report, scorecard)
+            # never raise this; the rest degrade to a structured 503.
+            return _error(
+                HTTPError(
+                    503, f"dataset {err.name!r} unavailable: {err.reason}",
                     reason="DatasetDegradedError", dataset=err.name,
-                ),
-                JSON_CONTENT_TYPE, None, None,
+                )
             )
         except Exception as exc:  # noqa: BLE001 - mapped to a 500 envelope
             registry.counter("serve.errors").inc()
             registry.counter(f"serve.errors.{route.name}").inc()
             _LOG.exception("serve.request.error", exc, endpoint=route.name)
-            return (
-                500, error_bytes(500, "internal server error"),
-                JSON_CONTENT_TYPE, None, None,
+            return _error(HTTPError(500, "internal server error"))
+
+    def _export_trace(self, rc: TraceContext) -> None:
+        """Write the request's ``repro.trace/1`` artifact when sampled."""
+        if not rc.sampled or self.trace_dir is None:
+            return
+        spans = get_tracer().take_trace(rc.trace_id)
+        if not spans:
+            return
+        try:
+            write_trace_json(self.trace_dir, rc.trace_id, spans, rc.request_id)
+        except OSError as exc:
+            _LOG.warning(
+                "serve.trace.export_failed", trace_id=rc.trace_id, error=str(exc)
             )
+
+
+def _render(route: Route, context: "ServeContext", request: _Request):
+    """One live render: the plane's render for a cacheable route, else the handler."""
+    if route.cacheable:
+        return render_artifact(context, route.name, request.params)
+    kwargs: dict[str, object] = dict(request.params)
+    if route.accepts_body:
+        kwargs["body"] = request.body
+        kwargs["meta"] = {
+            key: values[-1] for key, values in parse_qs(request.query).items()
+        }
+    return route.handler(context, **kwargs)
+
+
+def _remember(surface: ServingSurface, render: asyncio.Future) -> None:
+    """Memoize a finished render into *surface* (runs on the loop)."""
+    if not render.cancelled() and render.exception() is None:
+        result = render.result()
+        if isinstance(result, Artifact):
+            surface.remember(result)
+
+
+def _artifact_outcome(artifact: Artifact, request: _Request, hit: bool) -> _Outcome:
+    """A plane artifact as a 200, or a bodiless 304 on a matching ETag."""
+    registry = get_registry()
+    if hit:
+        registry.counter("serve.artifact.hit").inc()
+    inm = _header_value(request.blob, request.lower, b"if-none-match")
+    if inm is not None and etag_matches(inm, artifact.etag):
+        registry.counter("serve.response.not_modified").inc()
+        return 304, b"", artifact.content_type, artifact.etag, None
+    return 200, artifact.body, artifact.content_type, artifact.etag, None
 
 
 # -- entry points ------------------------------------------------------------
 
 
-async def _amain(server: AioReproServer, handle_signals: bool) -> None:
+async def _amain(server: AioServer, handle_signals: bool) -> None:
     await server.start()
     loop = asyncio.get_running_loop()
     if handle_signals:
@@ -682,7 +859,7 @@ async def _amain(server: AioReproServer, handle_signals: bool) -> None:
     await server._close()
 
 
-def run_aio(server: AioReproServer, handle_signals: bool = True) -> None:
+def run_aio(server: AioServer, handle_signals: bool = True) -> None:
     """Serve until SIGTERM/SIGINT, answer everything accepted, return."""
     asyncio.run(_amain(server, handle_signals))
 
@@ -734,7 +911,7 @@ def run_workers(
     serving on the port.
 
     Args:
-        make_server: ``(sock) -> AioReproServer`` factory, called in
+        make_server: ``(sock) -> AioServer`` factory, called in
             each child **after** the fork (event loops must never cross
             a fork).
         workers: Child process count (>= 1).
@@ -926,12 +1103,14 @@ def create_aio_server(
     artifacts: ArtifactStore | None = None,
     context: "ServeContext | None" = None,
     sock: socket.socket | None = None,
-) -> AioReproServer:
-    """A ready AioReproServer with its artifact plane built (not started).
+) -> AioServer:
+    """A ready AioServer with its artifact plane sealed (not started).
 
-    Mirrors :func:`repro.serve.server.create_server` for the asyncio
-    engine; building the store pays the scenario build (single-flight)
-    unless *artifacts* (and *context*) are passed in prebuilt.
+    Without *artifacts*, seals the whole plane before returning (paying
+    the single-flight scenario build if the pool is cold), so the first
+    request is already static.  Pass a prebuilt *artifacts* (and its
+    *context*) to skip that.  For a server that fills its plane on first
+    request instead, construct :class:`AioServer` without a store.
     """
     from repro.serve.artifacts import build_artifact_store
     from repro.serve.handlers import ServeContext
@@ -944,7 +1123,7 @@ def create_aio_server(
         context = ServeContext(pool=pool, params=dict(params or {}))
     if artifacts is None:
         artifacts = build_artifact_store(context, workers=jobs)
-    return AioReproServer(
+    return AioServer(
         context,
         artifacts,
         host=host,

@@ -1,23 +1,19 @@
 """The precomputed static artifact plane behind :mod:`repro.serve`.
 
 Every cacheable endpoint is a pure function of ``(scenario parameters,
-endpoint, path args)``, so instead of rendering on demand and caching,
-the whole response surface can be **materialised once at pool-build
-time**: all 23 exhibits, the report, the narrative, the exhibit catalog,
-and one scorecard per LACNIC country — 59 responses, well under 100 KB
-total on default parameters.
+endpoint, path args)``, and the set of them is closed: all 23 exhibits,
+the report, the narrative, the exhibit catalog, and one scorecard per
+LACNIC country — 59 responses, well under 100 KB total on default
+parameters.
 
-:func:`build_artifact_store` renders each of them through the exact
-handler + envelope code path the live server uses (so the bytes are
-provably identical to what on-demand rendering would produce), stamps a
-strong ETag (quoted SHA-256 of the body — the body's content address),
-and seals the result into an immutable :class:`ArtifactStore`.  Both
-engines consult it:
-
-* the asyncio engine (:mod:`repro.serve.aio`) precompiles the store
-  into full wire images and serves them zero-copy;
-* the threaded engine treats it as a pre-warmed tier in front of its
-  LRU response cache.
+:func:`render_artifact` renders one of them through the handler +
+envelope path and stamps a strong ETag (quoted SHA-256 of the body —
+the body's content address).  :func:`build_artifact_store` renders all
+59 that way and seals them into an immutable :class:`ArtifactStore`;
+the server (:mod:`repro.serve.aio`) renders the same function lazily,
+one path at a time, into its serving surface.  Either way a path's
+bytes are the same, so a plane filled on first request and a plane
+sealed up front have the same fingerprint.
 
 Because every artifact records its content address, a served byte
 stream is traceable to its inputs: :meth:`ArtifactStore.manifest`
@@ -27,7 +23,7 @@ size) and a combined fingerprint over the whole plane.
 Observability: the build runs under the ``serve.artifacts.build`` timer
 and sets the ``serve.artifacts.count`` / ``serve.artifacts.bytes``
 gauges; per-request hits are counted in ``serve.artifact.hit`` by the
-engines.
+server.
 """
 
 from __future__ import annotations
@@ -120,8 +116,36 @@ def path_for(endpoint: str, params: dict[str, str]) -> str:
     raise KeyError(f"not a static endpoint: {endpoint}")
 
 
-def _params_key(params: dict[str, str]) -> tuple:
-    return tuple(sorted(params.items()))
+def artifact_key(endpoint: str, params: dict[str, str]) -> tuple:
+    """The plane key of a routed ``(endpoint, path_params)`` pair.
+
+    Parameters are case-folded first, so every spelling the router
+    matches for one artifact shares one key.
+    """
+    return (endpoint, tuple(sorted(canonical_params(endpoint, params).items())))
+
+
+def render_artifact(
+    context: "ServeContext", endpoint: str, params: dict[str, str]
+) -> Artifact:
+    """Render one static endpoint instance through its handler + envelope.
+
+    The handler (``repro.serve.handlers.handle_<endpoint>``) and
+    :func:`envelope_bytes` are looked up at call time.  Raises whatever
+    the handler raises (an :class:`~repro.serve.router.HTTPError` for a
+    parameter outside the static domain).
+    """
+    from repro.serve import handlers
+
+    params = canonical_params(endpoint, params)
+    handler = getattr(handlers, f"handle_{endpoint}")
+    body = envelope_bytes(handler(context, **params))
+    return Artifact(
+        path=path_for(endpoint, params),
+        endpoint=endpoint,
+        body=body,
+        etag=etag_for(body),
+    )
 
 
 class ArtifactStore:
@@ -134,29 +158,23 @@ class ArtifactStore:
     exactly one build.
     """
 
-    __slots__ = ("_by_path", "_by_endpoint", "scenario_key", "total_bytes")
+    __slots__ = ("_by_path", "_by_endpoint", "total_bytes")
 
-    def __init__(
-        self, artifacts: list[Artifact], scenario_key: tuple = ()
-    ) -> None:
+    def __init__(self, artifacts: list[Artifact]) -> None:
         by_path: dict[str, Artifact] = {}
         by_endpoint: dict[tuple, Artifact] = {}
         for artifact in artifacts:
             if artifact.path in by_path:
                 raise ValueError(f"duplicate artifact path: {artifact.path}")
             by_path[artifact.path] = artifact
-        for artifact in artifacts:
-            # Endpoint index keyed by canonical params: the engines use
-            # it to resolve case-folded lookups through the router.
-            canonical = canonical_params(
-                artifact.endpoint, _route_params(artifact)
-            )
-            by_endpoint[(artifact.endpoint, _params_key(canonical))] = artifact
+            # Endpoint index keyed by canonical params: case-folded
+            # lookups through the router resolve here.
+            key = artifact_key(artifact.endpoint, route_params(artifact))
+            by_endpoint[key] = artifact
         self._by_path: Mapping[str, Artifact] = MappingProxyType(by_path)
         self._by_endpoint: Mapping[tuple, Artifact] = MappingProxyType(
             by_endpoint
         )
-        self.scenario_key = scenario_key
         self.total_bytes = sum(len(a.body) for a in artifacts)
 
     def __len__(self) -> int:
@@ -176,8 +194,7 @@ class ArtifactStore:
         request the router matched always resolves to the same artifact
         the canonical path serves.
         """
-        canonical = canonical_params(endpoint, params)
-        return self._by_endpoint.get((endpoint, _params_key(canonical)))
+        return self._by_endpoint.get(artifact_key(endpoint, params))
 
     def fingerprint(self) -> str:
         """SHA-256 over every artifact's (path, content address), sorted.
@@ -214,7 +231,7 @@ class ArtifactStore:
         }
 
 
-def _route_params(artifact: Artifact) -> dict[str, str]:
+def route_params(artifact: Artifact) -> dict[str, str]:
     """Recover the path params an artifact was rendered with."""
     if artifact.endpoint == "exhibit":
         return {"exhibit_id": artifact.path.rsplit("/", 1)[-1]}
@@ -229,8 +246,8 @@ def build_artifact_store(
     """Materialise the full static response surface for *context*.
 
     Pays the (single-flight) scenario build if the pool is cold, then
-    renders every static endpoint through the live handler + envelope
-    path — in parallel on *workers* threads via the executor's
+    renders every static endpoint with :func:`render_artifact` — in
+    parallel on *workers* threads via the executor's
     :func:`repro.exec.parallel_map` when asked — and seals the result.
 
     Args:
@@ -238,35 +255,17 @@ def build_artifact_store(
         workers: Threads for the render fan-out; 1 renders serially.
     """
     from repro.exec import parallel_map
-    from repro.serve import handlers
-    from repro.serve.pool import params_key
 
     registry = get_registry()
-    handler_by_endpoint = {
-        "exhibits": handlers.handle_exhibits,
-        "report": handlers.handle_report,
-        "narrative": handlers.handle_narrative,
-        "exhibit": handlers.handle_exhibit,
-        "scorecard": handlers.handle_scorecard,
-    }
-
-    def render(spec: tuple[str, dict[str, str]]) -> Artifact:
-        endpoint, params = spec
-        body = envelope_bytes(handler_by_endpoint[endpoint](context, **params))
-        return Artifact(
-            path=path_for(endpoint, params),
-            endpoint=endpoint,
-            body=body,
-            etag=etag_for(body),
-        )
-
     with registry.timer("serve.artifacts.build").time():
         context.scenario()  # warm the pool before fanning out renders
         artifacts = parallel_map(
-            render, static_surface(), max_workers=workers,
+            lambda spec: render_artifact(context, *spec),
+            static_surface(),
+            max_workers=workers,
             label="serve.artifacts.build",
         )
-    store = ArtifactStore(artifacts, scenario_key=params_key(context.params))
+    store = ArtifactStore(artifacts)
     registry.gauge("serve.artifacts.count").set(len(store))
     registry.gauge("serve.artifacts.bytes").set(store.total_bytes)
     return store

@@ -7,9 +7,9 @@ request whose deadline expires surfaces :class:`DeadlineExpired`, which
 the server maps to a 503 with ``Retry-After`` and counts in
 ``serve.deadline.expired``.
 
-Thread-local, not contextvar: each HTTP request runs on its own
-``ThreadingHTTPServer`` thread, and the waits consulting the deadline
-run on that same thread.
+Thread-local, not contextvar: each live request's handler runs on one
+executor thread, and the waits consulting the deadline run on that same
+thread.
 """
 
 from __future__ import annotations

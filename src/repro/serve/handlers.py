@@ -4,7 +4,8 @@ Each handler is a pure function of the shared warm scenario: it fetches
 the world from the :class:`~repro.serve.pool.ScenarioPool` (paying a
 single-flight build only on a cold pool) and returns a JSON payload
 dict.  The server wraps payloads in the ``{"data": ...}`` envelope,
-caches the rendered bytes, and stamps ETags — handlers never see HTTP.
+keeps the rendered bytes in its artifact plane, and stamps ETags —
+handlers never see HTTP.
 
 Error semantics mirror the CLI exactly: an unknown exhibit id is a 404
 with the same did-you-mean suggestion ``repro exhibit`` prints, and an

@@ -2,15 +2,16 @@
 
 :class:`ServeIngestor` glues the transport-agnostic
 :class:`~repro.ingest.service.IngestService` to a live
-:class:`~repro.serve.server.ReproServer`:
+:class:`~repro.serve.aio.AioServer`:
 
 * ``submit`` journals the batch (the caller's 2xx receipt) and nudges
   the single background apply thread;
 * the apply thread folds the whole journal into an overlay, rebuilds
   only the dirty partitions plus the sealed artifact store, and
-  atomically swaps the server's :class:`ServingSurface` — the old
-  generation keeps serving until the new fingerprint is ready, and the
-  checkpoint commits only after the rebuild succeeded;
+  atomically swaps the server's
+  :class:`~repro.serve.server.ServingSurface` — the old generation keeps
+  serving until the new fingerprint is ready, and the checkpoint commits
+  only after the rebuild succeeded;
 * an apply failure keeps the old surface and the journal intact
   (counted in ``ingest.apply.errors``): the batches stay acked and the
   next apply — or startup recovery — retries them.
@@ -18,19 +19,29 @@
 One apply covers every batch journaled before it started (folding is
 per-journal, not per-batch), so a burst of submissions coalesces into a
 single rebuild the same way the scenario pool coalesces cold builds.
+
+:func:`enable_ingest` wires one up on a server and recovers its journal
+before the server starts serving.
 """
 
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from repro.ingest.service import ApplyResult, IngestService, Receipt, apply_ingest
+from repro.ingest.service import (
+    DEFAULT_MAX_BACKLOG,
+    ApplyResult,
+    IngestService,
+    Receipt,
+    apply_ingest,
+)
 from repro.obs import get_logger, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.cache import DatasetCache
-    from repro.serve.server import ReproServer
+    from repro.serve.aio import AioServer
 
 _LOG = get_logger("repro.serve.ingestor")
 
@@ -40,7 +51,7 @@ class ServeIngestor:
 
     def __init__(
         self,
-        server: "ReproServer",
+        server: "AioServer",
         service: IngestService,
         cache: "DatasetCache | None" = None,
         jobs: int = 1,
@@ -52,6 +63,10 @@ class ServeIngestor:
         self.jobs = jobs
         self.strict = strict
         self._apply_lock = threading.Lock()
+        #: Guards ``_wakeup`` and ``_thread`` together: whether the apply
+        #: thread exits and whether a submit starts one are decided
+        #: under it, so a wakeup is never set with no thread to see it.
+        self._state_lock = threading.Lock()
         self._wakeup = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -114,16 +129,21 @@ class ServeIngestor:
             thread.join(timeout)
 
     def _schedule_apply(self) -> None:
-        self._wakeup.set()
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._apply_loop, name="serve-ingest-apply", daemon=True
-            )
-            self._thread.start()
+        with self._state_lock:
+            self._wakeup.set()
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._apply_loop, name="serve-ingest-apply", daemon=True
+                )
+                self._thread.start()
 
     def _apply_loop(self) -> None:
-        while self._wakeup.is_set():
-            self._wakeup.clear()
+        while True:
+            with self._state_lock:
+                if not self._wakeup.is_set():
+                    self._thread = None
+                    return
+                self._wakeup.clear()
             try:
                 self.apply_now()
             except Exception as exc:
@@ -131,4 +151,43 @@ class ServeIngestor:
                 # acked batches; the next submit (or restart) retries.
                 get_registry().counter("ingest.apply.errors").inc()
                 _LOG.exception("ingest.apply_failed", exc)
+                with self._state_lock:
+                    self._thread = None
                 return
+
+
+def enable_ingest(
+    server: "AioServer",
+    ingest_dir: Path | str,
+    cache: "DatasetCache | None" = None,
+    jobs: int = 1,
+    strict: bool = False,
+    max_backlog: int | None = None,
+) -> ServeIngestor:
+    """Enable ``POST /v1/ingest`` on *server*, journaling into *ingest_dir*.
+
+    Call before the server starts serving: the journal is recovered
+    here.  Acked-but-unapplied batches (a crash between journal and
+    checkpoint) are applied, and a fully checkpointed journal is swapped
+    in, so the first request already sees the whole journal.
+
+    Args:
+        max_backlog: Bound on acked-but-unapplied batches before
+            submissions get 429 (default
+            :data:`repro.ingest.service.DEFAULT_MAX_BACKLOG`).
+    """
+    service = IngestService(
+        ingest_dir,
+        max_backlog=max_backlog if max_backlog is not None else DEFAULT_MAX_BACKLOG,
+        strict=strict,
+    )
+    ingestor = ServeIngestor(server, service, cache=cache, jobs=jobs, strict=strict)
+    server.context.ingest = ingestor
+    if service.backlog() > 0:
+        ingestor.apply_now()
+    elif service.wal.last_seq > 0:
+        # Everything is checkpointed, but the base surface does not carry
+        # the journal: swap in the overlay world now (the fast path —
+        # shards come from the cache).
+        ingestor.apply_now(force=True)
+    return ingestor

@@ -2,8 +2,8 @@
 
 Every API response is one of two shapes, both serialised by
 :func:`to_json_bytes` (sorted keys, fixed separators) so identical
-payloads always produce identical bytes — the property the response
-cache's strong ETags and the byte-identity guarantees rest on::
+payloads always produce identical bytes — the property the artifact
+plane's strong ETags and the byte-identity guarantees rest on::
 
     {"data": <payload>}                                  # success
     {"error": {"status": ..., "message": ..., ...}}      # failure
@@ -77,8 +77,10 @@ class Route:
         pattern: Path template, e.g. ``/v1/exhibit/{exhibit_id}`` —
             ``{param}`` segments capture into handler kwargs.
         handler: The endpoint implementation.
-        cacheable: Whether responses may enter the LRU response cache
-            (and therefore carry ETags).  Live views (``/healthz``,
+        cacheable: Whether the route's successful responses belong to
+            the static artifact plane: rendered once per serving
+            surface, content-addressed with a strong ETag, and served
+            from the wire table after that.  Live views (``/healthz``,
             ``/metrics``) are not cacheable.
         accepts_body: Whether the server should read the request body
             (bounded by its size cap) and pass it to the handler as

@@ -1,689 +1,91 @@
-"""The threaded HTTP server wiring router, pool, and response cache.
+"""The serving surface: one generation of what the server answers.
 
-Built on :class:`http.server.ThreadingHTTPServer` (stdlib only): each
-connection is handled on its own thread, all threads share one
-:class:`~repro.serve.pool.ScenarioPool` (so a cold burst coalesces onto
-a single scenario build) and one
-:class:`~repro.serve.respcache.ResponseCache` (so each distinct response
-is rendered once and replayed byte-for-byte with a strong ETag).
+A :class:`ServingSurface` pairs a :class:`~repro.serve.handlers.ServeContext`
+with the artifact plane rendered from it and the wire table compiled
+from that plane.  :class:`~repro.serve.aio.AioServer` holds exactly
+one current surface; an ingest apply builds the next one whole and swaps
+it in with a single attribute store.
 
-Request observability (see ``docs/OBSERVABILITY.md``):
-
-* ``serve.requests`` — every request hitting the dispatcher.
-* ``serve.request.<endpoint>`` — per-endpoint latency timer.
-* ``serve.cache.hit`` / ``serve.cache.miss`` — response-cache outcomes.
-* ``serve.response.not_modified`` — 304 revalidations.
-* ``serve.inflight.coalesced`` — requests that waited on another
-  request's scenario build (recorded by the pool).
-* ``serve.errors`` — handler crashes surfaced as 500 envelopes, plus a
-  per-endpoint ``serve.errors.<endpoint>`` dimension.
-* ``serve.requests.shed`` — requests refused with 503 under saturation.
-* ``serve.inflight.current`` — gauge of requests currently in flight.
-* ``serve.deadline.expired`` — requests whose per-request deadline ran
-  out mid-wait.
-
-Hardening (see ``docs/RELIABILITY.md``): an optional ``max_inflight``
-bound sheds excess load with 503 + ``Retry-After`` (``/healthz`` and
-``/metrics`` stay exempt so health is observable under saturation), an
-optional per-request deadline bounds every blocking wait, the scenario
-pool's circuit breaker surfaces as 503s while open, and a degraded
-dataset behind an endpoint that cannot annotate coverage becomes a
-structured 503 instead of a crash.
-
-Shutdown is graceful by construction: :func:`run` converts SIGTERM and
-SIGINT into ``server.shutdown()`` (stopping the accept loop) and then
-``server_close()`` joins the in-flight handler threads, so every
-accepted request is answered before the process exits and the CLI's
-``--metrics-json`` artifact (written after :func:`run` returns) covers
-the complete run.
+:data:`MAX_BODY_BYTES` bounds the request bodies the server buffers.
 """
 
 from __future__ import annotations
 
-import math
-import signal
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
-from typing import TYPE_CHECKING
-from urllib.parse import parse_qs, urlsplit
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.degrade import DatasetDegradedError
-from repro.obs import (
-    get_logger,
-    get_registry,
-    get_tracer,
-    new_span_id,
-    start_request_context,
-    use_context,
-    write_trace_json,
-)
-from repro.serve.breaker import BreakerOpenError, CircuitBreaker
-from repro.serve.deadline import DeadlineExpired, deadline_scope
-from repro.serve.handlers import ServeContext, build_router
-from repro.serve.pool import PoolTimeoutError, ScenarioPool, params_key
-from repro.serve.respcache import CachedResponse, ResponseCache
-from repro.serve.router import (
-    JSON_CONTENT_TYPE,
-    HTTPError,
-    RawResponse,
-    Router,
-    envelope_bytes,
-    error_bytes,
-    etag_for,
-    etag_matches,
-)
+from repro.serve.artifacts import Artifact, artifact_key, route_params
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.cache import DatasetCache
-    from repro.serve.artifacts import ArtifactStore
-
-#: Structured logger for the serving layer; every record emitted inside a
-#: request scope carries that request's ``request_id``/``trace_id``.
-_LOG = get_logger("repro.serve")
+    from repro.serve.handlers import ServeContext
 
 #: Bound on request bodies for routes that accept one (``/v1/ingest``);
 #: larger submissions get 413 before a byte of the body is buffered.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
-class ServingSurface:
-    """One immutable serving generation: context, sealed artifacts, key.
+class _Wire:
+    """One artifact compiled to immutable wire images (200 and 304)."""
 
-    The server holds exactly one reference to the current surface;
-    swapping generations is a single attribute assignment (atomic under
-    the GIL), and every request captures the surface once at dispatch —
-    so a request either sees the whole old world or the whole new one,
-    never a mix of contexts and artifact stores.
+    __slots__ = ("full", "not_modified", "etag")
+
+    def __init__(self, artifact: Artifact) -> None:
+        head = (
+            f"HTTP/1.1 200 OK\r\n"
+            f"Content-Type: {artifact.content_type}\r\n"
+            f"Content-Length: {len(artifact.body)}\r\n"
+            f"ETag: {artifact.etag}\r\n"
+            f"\r\n"
+        ).encode("latin-1")
+        self.full = memoryview(head + artifact.body)
+        self.not_modified = memoryview(
+            f"HTTP/1.1 304 Not Modified\r\nETag: {artifact.etag}\r\n\r\n".encode(
+                "latin-1"
+            )
+        )
+        self.etag = artifact.etag
+
+
+class ServingSurface:
+    """One serving generation: context, artifact plane, wire table.
+
+    The plane maps :func:`~repro.serve.artifacts.artifact_key` keys to
+    artifacts (the keys :meth:`ArtifactStore.find` uses, so
+    ``/v1/scorecard/ve`` and ``/v1/scorecard/VE`` share an entry);
+    ``wire`` maps each artifact's canonical path and its lower-case
+    spelling to its precompiled wire images.
+
+    A surface built from a sealed store carries the whole plane from
+    the start.  One built without starts empty, and the server adds
+    each artifact the first time a request renders it.  Every artifact
+    is addressed by the SHA-256 of its bytes, so both serve the same
+    plane.  Only the event-loop thread adds to a published surface.
     """
 
-    __slots__ = ("context", "artifacts", "scenario_key", "generation")
+    __slots__ = ("context", "generation", "wire", "_plane")
 
     def __init__(
         self,
-        context: ServeContext,
-        artifacts: "ArtifactStore | None" = None,
+        context: "ServeContext",
+        artifacts: Iterable[Artifact] = (),
         generation: int = 0,
     ) -> None:
         self.context = context
-        self.artifacts = artifacts
-        self.scenario_key = params_key(context.params)
         self.generation = generation
+        self.wire: dict[bytes, _Wire] = {}
+        self._plane: dict[tuple, Artifact] = {}
+        for artifact in artifacts:
+            self.remember(artifact)
 
+    def find(self, endpoint: str, params: dict[str, str]) -> Artifact | None:
+        """The plane's artifact for a routed ``(endpoint, params)``, or None."""
+        return self._plane.get(artifact_key(endpoint, params))
 
-class ReproServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the API's shared state."""
-
-    daemon_threads = False  # server_close() must drain in-flight requests
-    allow_reuse_address = True
-    # http.server's default backlog of 5 overflows under HTTP/1.0
-    # reconnect churn (every request is a fresh connection); overflow
-    # turns into multi-second SYN-retransmit tails on loopback.
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        context: ServeContext,
-        router: Router | None = None,
-        response_cache: ResponseCache | None = None,
-        verbose: bool = False,
-        deadline_seconds: float | None = None,
-        max_inflight: int | None = None,
-        trace_sample_rate: float = 0.0,
-        trace_dir: Path | None = None,
-        artifacts: "ArtifactStore | None" = None,
-    ) -> None:
-        #: The current serving generation; replaced whole by
-        #: :meth:`swap_surface` after an ingest apply.
-        self.surface = ServingSurface(context, artifacts)
-        self.router = router if router is not None else build_router()
-        self.response_cache = (
-            response_cache if response_cache is not None else ResponseCache()
-        )
-        self.verbose = verbose
-        #: Per-request wall-time budget; None disables deadlines.
-        self.deadline_seconds = deadline_seconds
-        #: Head-sampling rate for per-request traces (0 disables).
-        self.trace_sample_rate = trace_sample_rate
-        #: Where sampled requests export their ``repro.trace/1`` artifact;
-        #: None keeps spans in memory only.
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: Saturation bound: requests past this are shed with 503.
-        #: ``/healthz`` and ``/metrics`` are exempt.
-        self.inflight_limiter = (
-            threading.BoundedSemaphore(max_inflight)
-            if max_inflight is not None and max_inflight > 0
-            else None
-        )
-        self._inflight_lock = threading.Lock()
-        self._inflight_count = 0
-        super().__init__(address, _RequestHandler)
-
-    # The surface's pieces, exposed under their historical names; reads
-    # that must be generation-consistent capture ``self.surface`` once.
-
-    @property
-    def context(self) -> ServeContext:
-        return self.surface.context
-
-    @property
-    def artifacts(self) -> "ArtifactStore | None":
-        return self.surface.artifacts
-
-    @property
-    def scenario_key(self):
-        """Scenario-parameter component of every response-cache key."""
-        return self.surface.scenario_key
-
-    def swap_surface(
-        self, context: ServeContext, artifacts: "ArtifactStore | None"
-    ) -> ServingSurface:
-        """Atomically replace the serving surface with a new generation.
-
-        The old surface keeps serving any request that captured it; new
-        requests see the new one.  Response-cache entries need no flush:
-        their keys embed the scenario key, which changes with the
-        overlay.
-        """
-        surface = ServingSurface(
-            context, artifacts, generation=self.surface.generation + 1
-        )
-        self.surface = surface
-        registry = get_registry()
-        registry.counter("serve.surface.swapped").inc()
-        registry.gauge("serve.surface.generation").set(surface.generation)
-        _LOG.info(
-            "serve.surface.swapped",
-            generation=surface.generation,
-            artifacts=artifacts.fingerprint() if artifacts is not None else None,
-        )
-        return surface
-
-    def inflight_delta(self, delta: int) -> None:
-        """Track in-flight requests into the ``serve.inflight.current`` gauge."""
-        with self._inflight_lock:
-            self._inflight_count += delta
-            get_registry().gauge("serve.inflight.current").set(
-                self._inflight_count
-            )
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Per-request dispatch: route, cache, ETag, envelope."""
-
-    server: ReproServer  # narrowed for type checkers
-    server_version = "repro-serve/1.0"
-    # One request per connection: keep-alive would pin handler threads on
-    # idle sockets and stall the drain in server_close().
-    protocol_version = "HTTP/1.0"
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-    # -- dispatch pipeline ---------------------------------------------------
-
-    #: Endpoints exempt from load shedding: health must stay observable
-    #: exactly when the server is saturated, and both render in-memory
-    #: state without touching the pool.
-    _SHED_EXEMPT = ("healthz", "metrics")
-
-    def _dispatch(self, method: str) -> None:
-        # One TraceContext per request: an incoming ``traceparent`` is
-        # honoured (the caller's trace continues here, their span id as
-        # parent); otherwise a fresh trace starts and the head-sampling
-        # rate decides whether spans are recorded.  The context is
-        # ambient for the whole request, so pool builds, executor
-        # workers, and every log line correlate automatically.
-        rc = start_request_context(
-            traceparent=self.headers.get("traceparent"),
-            request_id=self.headers.get("X-Request-Id"),
-            sample_rate=self.server.trace_sample_rate,
-            accept=self.headers.get("Accept", ""),
-        )
-        if rc.remote:
-            self._root_parent: str | None = rc.span_id
-            rc = rc.child(new_span_id())
-        else:
-            self._root_parent = None
-        self._trace_ctx = rc
-        with use_context(rc):
-            self._dispatch_in_context(method)
-
-    def _dispatch_in_context(self, method: str) -> None:
-        registry = get_registry()
-        registry.counter("serve.requests").inc()
-        # One surface per request: every lookup below (context,
-        # artifacts, cache key) comes from this capture, so a
-        # mid-request swap_surface() cannot mix generations.
-        self._surface = self.server.surface
-        parts = urlsplit(self.path)
-        path = parts.path
-        t0 = time.perf_counter()
-        try:
-            route, path_params = self.server.router.match(method, path)
-            self._read_body(route, parts.query)
-        except HTTPError as err:
-            self._send_error(err)
-            self._finish_request(method, path, None, err.status, t0)
+    def remember(self, artifact: Artifact) -> None:
+        """Add *artifact* to the plane and the wire table; first one wins."""
+        key = artifact_key(artifact.endpoint, route_params(artifact))
+        if key in self._plane:
             return
-
-        limiter = self.server.inflight_limiter
-        shed_guarded = limiter is not None and route.name not in self._SHED_EXEMPT
-        if shed_guarded and not limiter.acquire(blocking=False):
-            registry.counter("serve.requests.shed").inc()
-            self._send_error(
-                HTTPError(
-                    503,
-                    "server saturated; request shed",
-                    headers={"Retry-After": "1"},
-                )
-            )
-            self._finish_request(method, path, route, 503, t0)
-            return
-        self.server.inflight_delta(+1)
-        try:
-            status = self._handle_matched(route, path_params, registry)
-        finally:
-            self.server.inflight_delta(-1)
-            if shed_guarded:
-                limiter.release()
-        self._finish_request(method, path, route, status, t0)
-
-    def _handle_matched(self, route, path_params: dict[str, str], registry) -> int:
-        # The request's root span: its id was already promised to the
-        # client in the response ``traceparent`` (the ambient context's
-        # span id), and its parent is the remote caller's span when one
-        # came in.  Child spans — pool build, dataset builds on executor
-        # threads — parent onto it through the ambient context.
-        ctx = self._trace_ctx
-        span = get_tracer().span(
-            f"serve.request.{route.name}",
-            span_id=ctx.span_id,
-            parent_id=self._root_parent,
-        )
-        with span:
-            status = self._render_and_send(route, path_params, registry)
-        self._export_trace()
-        return status
-
-    def _render_and_send(self, route, path_params: dict[str, str], registry) -> int:
-        # Render under the timer, write to the socket after it: every
-        # metric for the request is recorded before the client can read
-        # the body, so observers never see a completed response whose
-        # instruments have not landed yet.
-        try:
-            with registry.timer(f"serve.request.{route.name}").time():
-                with deadline_scope(self.server.deadline_seconds):
-                    status, body, content_type, etag = self._render(
-                        route, path_params
-                    )
-        except HTTPError as err:
-            self._send_error(err)
-            return err.status
-        except (BreakerOpenError, PoolTimeoutError, DeadlineExpired) as exc:
-            retry_after = max(1, math.ceil(getattr(exc, "retry_after", 1.0)))
-            self._send_error(
-                HTTPError(
-                    503,
-                    str(exc),
-                    headers={"Retry-After": str(retry_after)},
-                    reason=type(exc).__name__,
-                )
-            )
-            return 503
-        except DatasetDegradedError as err:
-            # Endpoints that can annotate coverage (report, scorecard)
-            # never raise this; the rest degrade to a structured 503.
-            self._send_error(
-                HTTPError(
-                    503,
-                    f"dataset {err.name!r} unavailable: {err.reason}",
-                    reason="DatasetDegradedError",
-                    dataset=err.name,
-                )
-            )
-            return 503
-        except Exception as exc:
-            registry.counter("serve.errors").inc()
-            registry.counter(f"serve.errors.{route.name}").inc()
-            _LOG.exception(
-                "serve.request.error",
-                exc,
-                endpoint=route.name,
-                method=self.command,
-                path=self.path,
-            )
-            status, body, content_type, etag = (
-                500,
-                error_bytes(500, "internal server error"),
-                JSON_CONTENT_TYPE,
-                None,
-            )
-        try:
-            if status == 304:
-                self.send_response(304)
-                self.send_header("ETag", etag or "")
-                for name, value in self._trace_headers().items():
-                    self.send_header(name, value)
-                self.end_headers()
-            else:
-                self._send(status, body, content_type, etag)
-        except BrokenPipeError:  # client went away mid-response
-            pass
-        return status
-
-    def _read_body(self, route, query: str) -> None:
-        """Buffer the request body for routes that accept one.
-
-        Non-body routes never read their body (HTTP/1.0, one request
-        per connection — there is nothing after it on the socket).
-        Oversized submissions fail fast with 413.
-        """
-        self._request_body = b""
-        self._request_meta: dict[str, str] = {}
-        if not route.accepts_body:
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise HTTPError(422, "unparseable Content-Length") from None
-        if length > MAX_BODY_BYTES:
-            raise HTTPError(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte bound",
-            )
-        self._request_body = self.rfile.read(length) if length > 0 else b""
-        self._request_meta = {
-            key: values[-1] for key, values in parse_qs(query).items()
-        }
-
-    def _finish_request(
-        self, method: str, path: str, route, status: int, t0: float
-    ) -> None:
-        """Post-response bookkeeping: SLO observation and the access log."""
-        duration = time.perf_counter() - t0
-        slo = self._surface.context.slo
-        if slo is not None:
-            slo.record(ok=status < 500, latency_seconds=duration)
-        if self.server.verbose:
-            _LOG.info(
-                "serve.request.access",
-                method=method,
-                path=path,
-                status=status,
-                duration_ms=round(duration * 1e3, 2),
-                endpoint=route.name if route is not None else None,
-            )
-
-    def _export_trace(self) -> None:
-        """Write the request's ``repro.trace/1`` artifact when sampled."""
-        ctx = self._trace_ctx
-        if not ctx.sampled or self.server.trace_dir is None:
-            return
-        spans = get_tracer().take_trace(ctx.trace_id)
-        if not spans:
-            return
-        try:
-            write_trace_json(
-                self.server.trace_dir, ctx.trace_id, spans, ctx.request_id
-            )
-        except OSError as exc:
-            _LOG.warning(
-                "serve.trace.export_failed",
-                trace_id=ctx.trace_id,
-                error=str(exc),
-            )
-
-    def _render(
-        self, route, path_params: dict[str, str]
-    ) -> tuple[int, bytes, str, str | None]:
-        surface = self._surface
-        if not route.cacheable:
-            kwargs: dict[str, object] = dict(path_params)
-            if route.accepts_body:
-                kwargs["body"] = self._request_body
-                kwargs["meta"] = self._request_meta
-            result = route.handler(surface.context, **kwargs)
-            if isinstance(result, RawResponse):
-                return result.status, result.body, result.content_type, None
-            return 200, envelope_bytes(result), JSON_CONTENT_TYPE, None
-
-        registry = get_registry()
-        if surface.artifacts is not None:
-            # The sealed plane serves the whole static surface; the LRU
-            # below only ever sees responses the store does not carry.
-            artifact = surface.artifacts.find(route.name, path_params)
-            if artifact is not None:
-                registry.counter("serve.artifact.hit").inc()
-                if_none_match = self.headers.get("If-None-Match")
-                if if_none_match and etag_matches(if_none_match, artifact.etag):
-                    registry.counter("serve.response.not_modified").inc()
-                    return 304, b"", artifact.content_type, artifact.etag
-                return 200, artifact.body, artifact.content_type, artifact.etag
-
-        key = (
-            surface.scenario_key,
-            route.name,
-            tuple(sorted(path_params.items())),
-        )
-        cached = self.server.response_cache.get(key)
-        if cached is None:
-            registry.counter("serve.cache.miss").inc()
-            payload = route.handler(surface.context, **path_params)
-            body = envelope_bytes(payload)
-            cached = CachedResponse(
-                body=body, etag=etag_for(body), content_type=JSON_CONTENT_TYPE
-            )
-            self.server.response_cache.put(key, cached)
-        else:
-            registry.counter("serve.cache.hit").inc()
-
-        if_none_match = self.headers.get("If-None-Match")
-        if if_none_match and etag_matches(if_none_match, cached.etag):
-            registry.counter("serve.response.not_modified").inc()
-            return 304, b"", cached.content_type, cached.etag
-        return cached.status, cached.body, cached.content_type, cached.etag
-
-    # -- response writing ----------------------------------------------------
-
-    def _trace_headers(self) -> dict[str, str]:
-        """The correlation headers every response carries."""
-        ctx = getattr(self, "_trace_ctx", None)
-        if ctx is None:
-            return {}
-        return {"X-Request-Id": ctx.request_id, "traceparent": ctx.traceparent()}
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        etag: str | None = None,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if etag is not None:
-            self.send_header("ETag", etag)
-        for name, value in self._trace_headers().items():
-            self.send_header(name, value)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(self, err: HTTPError) -> None:
-        try:
-            self._send(
-                err.status,
-                error_bytes(err.status, err.message, **err.extra),
-                JSON_CONTENT_TYPE,
-                extra_headers=err.headers,
-            )
-        except BrokenPipeError:  # client went away mid-response
-            pass
-
-    def log_message(self, format: str, *args: object) -> None:
-        # The structured access log in _finish_request replaces the
-        # stdlib's per-request stderr line; the raw http.server chatter
-        # (send_response, send_error) survives only at debug level.
-        if self.server.verbose:
-            _LOG.debug("serve.http.line", message=format % args)
-
-
-def create_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    cache: "DatasetCache | None" = None,
-    jobs: int = 1,
-    params: dict[str, object] | None = None,
-    prebuild: bool = False,
-    cache_capacity: int = 256,
-    cache_max_bytes: int | None = None,
-    verbose: bool = False,
-    strict: bool = False,
-    deadline_seconds: float | None = None,
-    max_inflight: int | None = None,
-    breaker: CircuitBreaker | None = None,
-    trace_sample_rate: float = 0.0,
-    trace_dir: Path | None = None,
-    artifacts: bool = False,
-    ingest_dir: Path | str | None = None,
-    ingest_max_backlog: int | None = None,
-) -> ReproServer:
-    """A ready-to-serve :class:`ReproServer` (socket bound, not serving).
-
-    Args:
-        host: Bind address.
-        port: Bind port; 0 picks an ephemeral one (``server.url`` has it).
-        cache: Optional persistent dataset cache backing scenario builds.
-        jobs: Worker threads for each pool scenario prebuild.
-        params: Scenario parameter overrides shared by every endpoint.
-        prebuild: Build the scenario before returning so the first
-            request is warm (the ``repro serve`` default); False leaves
-            the build to the first request (single-flight).
-        cache_capacity: LRU response-cache capacity (entries).
-        cache_max_bytes: Optional LRU budget on cached body bytes
-            (``--response-cache-mb`` on the CLI); None disables it.
-        verbose: Log one line per request to stderr.
-        strict: Scenario strictness for pooled builds (lenient default:
-            a broken dataset degrades instead of failing every request).
-        deadline_seconds: Optional per-request wall-time budget.
-        max_inflight: Optional load-shedding bound on concurrent
-            requests (``/healthz`` and ``/metrics`` exempt).
-        breaker: Optional preconfigured circuit breaker for the pool.
-        trace_sample_rate: Fraction of requests whose spans are recorded
-            (deterministic head sampling on the trace id; 0 disables).
-        trace_dir: Directory sampled requests export ``repro.trace/1``
-            artifacts into; None keeps spans in memory.
-        artifacts: Build the sealed static artifact plane up front and
-            serve the whole cacheable surface from it (implies paying
-            the scenario build, like ``prebuild``); False keeps the
-            historical render-on-demand + LRU behaviour.
-        ingest_dir: Journal directory enabling ``POST /v1/ingest``;
-            startup replays the journal and, when acked batches are
-            still unapplied, applies them (rebuilding dirty partitions
-            and swapping the surface) before the socket starts serving.
-            None keeps the API read-only.
-        ingest_max_backlog: Bound on acked-but-unapplied batches before
-            submissions get 429 (default
-            :data:`repro.ingest.service.DEFAULT_MAX_BACKLOG`).
-    """
-    pool = ScenarioPool(
-        cache=cache, build_workers=jobs, strict=strict, breaker=breaker
-    )
-    context = ServeContext(pool=pool, params=dict(params or {}))
-    store = None
-    if artifacts:
-        from repro.serve.artifacts import build_artifact_store
-
-        store = build_artifact_store(context, workers=jobs)
-    server = ReproServer(
-        (host, port),
-        context,
-        response_cache=ResponseCache(
-            capacity=cache_capacity, max_bytes=cache_max_bytes
-        ),
-        verbose=verbose,
-        deadline_seconds=deadline_seconds,
-        max_inflight=max_inflight,
-        trace_sample_rate=trace_sample_rate,
-        trace_dir=trace_dir,
-        artifacts=store,
-    )
-    if ingest_dir is not None:
-        from repro.ingest.service import DEFAULT_MAX_BACKLOG, IngestService
-        from repro.serve.ingestor import ServeIngestor
-
-        service = IngestService(
-            ingest_dir,
-            max_backlog=(
-                ingest_max_backlog
-                if ingest_max_backlog is not None
-                else DEFAULT_MAX_BACKLOG
-            ),
-            strict=strict,
-        )
-        ingestor = ServeIngestor(
-            server, service, cache=cache, jobs=jobs, strict=strict
-        )
-        context.ingest = ingestor
-        if service.backlog() > 0:
-            # Startup recovery: acked-but-unapplied batches (a crash
-            # between journal and checkpoint) are applied before the
-            # first request, swapping in a surface that covers the
-            # whole journal.
-            ingestor.apply_now()
-        elif service.wal.last_seq > 0:
-            # Everything is checkpointed, but the base surface built
-            # above does not carry the journal: swap in the overlay
-            # world now (the fast path — shards come from the cache).
-            ingestor.apply_now(force=True)
-    if prebuild and store is None:
-        context.scenario()
-    return server
-
-
-def run(server: ReproServer, handle_signals: bool = True) -> None:
-    """Serve until SIGTERM/SIGINT, then drain in-flight requests.
-
-    The signal handler only stops the accept loop (``shutdown()`` from a
-    helper thread — it must not run on the serving thread); the drain
-    happens in ``server_close()``, which joins every live handler thread
-    before returning.  Callers that manage signals themselves (tests,
-    embedding) pass ``handle_signals=False``.
-    """
-    previous: dict[int, object] = {}
-
-    def _initiate_shutdown(signum: int, frame: object) -> None:
-        threading.Thread(
-            target=server.shutdown, name="serve-shutdown", daemon=True
-        ).start()
-
-    if handle_signals:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(signum, _initiate_shutdown)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()  # joins in-flight handler threads
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)  # type: ignore[arg-type]
+        self._plane[key] = artifact
+        wire = _Wire(artifact)
+        self.wire[artifact.path.encode("latin-1")] = wire
+        self.wire.setdefault(artifact.path.lower().encode("latin-1"), wire)

@@ -370,3 +370,12 @@ def test_report_bytes_unchanged_by_tracing_and_json_logging(capsys):
     traced = capsys.readouterr().out
     # observability writes to stderr only; stdout stays byte-identical
     assert traced == plain
+
+
+def test_serve_ingest_needs_a_single_process(capsys, tmp_path):
+    # The journal's apply thread and the surface hot-swap live in one
+    # process: asking for workers too is a usage error, not a fork.
+    code = main(["serve", "--ingest-dir", str(tmp_path / "wal"), "--workers", "2"])
+    assert code == 2
+    assert "--ingest-dir needs a single process" in capsys.readouterr().err
+    assert not (tmp_path / "wal").exists()

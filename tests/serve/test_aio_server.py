@@ -1,21 +1,19 @@
-"""The asyncio engine end to end: payloads, keep-alive, cross-engine bytes.
+"""The server end to end: payloads, keep-alive, and the golden plane.
 
-The byte-identity tests are the PR's contract: every ``/v1/*`` response
-from the asyncio engine — including 304 revalidations and 404/422 error
-envelopes — must carry bytes and ETags identical to the threaded
-engine's, whether served by one worker or a pre-forked pair.
+The golden-plane test is the serving contract: a single-process server
+that fills its plane on first request, a server over a sealed store and
+a pre-forked pair all serve every static path with the bytes and ETag of
+the ``build_artifact_store`` artifact, so the fingerprint over the
+served ``(path, sha256)`` pairs is the store's fingerprint.
 """
 
+import hashlib
 import http.client
 import json
 import signal
-import threading
-
-import pytest
 
 from repro.core.exhibit import exhibit_catalog
-from repro.serve import create_server
-from repro.serve.artifacts import path_for, static_surface
+from repro.serve.artifacts import static_surface
 
 
 def _get(port, path, headers=None, host="127.0.0.1"):
@@ -27,19 +25,6 @@ def _get(port, path, headers=None, host="127.0.0.1"):
         return response.status, dict(response.getheaders()), response.read()
     finally:
         connection.close()
-
-
-@pytest.fixture(scope="module")
-def threaded_server(scenario):
-    """The reference engine, sharing the session scenario."""
-    server = create_server()
-    server.context.pool.seed(scenario)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
 
 
 # -- behaviour ---------------------------------------------------------------
@@ -135,42 +120,68 @@ def test_malformed_request_line_is_a_400(aio_served):
     assert b"400 Bad Request" in response
 
 
-# -- cross-engine byte identity ----------------------------------------------
-
-#: Endpoints whose bytes must match across engines: the full static
-#: surface plus the error envelopes.
-def _identity_paths():
-    paths = [path_for(endpoint, params) for endpoint, params in static_surface()]
-    paths += ["/v1/scorecard/ve", "/v1/exhibit/nope", "/v1/scorecard/US",
-              "/v1/scorecard/ZZ", "/nope"]
-    return paths
+# -- the golden plane --------------------------------------------------------
 
 
-def test_single_worker_bytes_match_threaded(aio_served, threaded_server):
-    aio = aio_served()
-    threaded_port = threaded_server.server_address[1]
-    for path in _identity_paths():
-        t_status, t_headers, t_body = _get(threaded_port, path)
-        a_status, a_headers, a_body = _get(aio.port, path)
-        assert (a_status, a_body) == (t_status, t_body), path
-        assert a_headers.get("ETag") == t_headers.get("ETag"), path
+def _served_fingerprint(port, expected):
+    """Check every static path on *port* against *expected* (path -> sha256).
 
-
-def test_304_revalidation_matches_threaded(aio_served, threaded_server):
-    aio = aio_served()
-    threaded_port = threaded_server.server_address[1]
-    for path in ("/v1/report", "/v1/scorecard/ve"):
-        _, headers, _ = _get(threaded_port, path)
-        etag = headers["ETag"]
-        t_status, _, t_body = _get(
-            threaded_port, path, headers={"If-None-Match": etag}
+    Each path's 200 body and ETag must be the artifact's, its ETag must
+    revalidate to a bodiless 304, and a lower-case scorecard path must
+    serve the upper-case bytes.  Returns the fingerprint over the served
+    ``(path, sha256)`` pairs, computed as ``ArtifactStore.fingerprint``.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(expected):
+        status, headers, body = _get(port, path)
+        sha = hashlib.sha256(body).hexdigest()
+        assert (status, sha) == (200, expected[path]), path
+        assert headers["ETag"] == f'"{sha}"', path
+        status, revalidated, empty = _get(
+            port, path, headers={"If-None-Match": headers["ETag"]}
         )
-        a_status, a_headers, a_body = _get(
-            aio.port, path, headers={"If-None-Match": etag}
-        )
-        assert t_status == a_status == 304
-        assert t_body == a_body == b""
-        assert a_headers["ETag"] == etag
+        assert (status, empty, revalidated["ETag"]) == (304, b"", headers["ETag"])
+        if path.startswith("/v1/scorecard/"):
+            status, lower_headers, lower = _get(port, path.lower())
+            assert (status, lower, lower_headers["ETag"]) == (
+                200, body, headers["ETag"],
+            ), path
+        digest.update(path.encode("utf-8") + b"\0" + sha.encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
+def _error_envelopes(port):
+    """(status, body) of the error paths, which no plane ever holds."""
+    paths = ("/v1/exhibit/nope", "/v1/scorecard/US", "/v1/scorecard/ZZ", "/nope")
+    return {path: _get(port, path)[::2] for path in paths}
+
+
+def test_every_server_serves_the_golden_plane(
+    artifact_plane, aio_served, served, fleet
+):
+    _, store = artifact_plane
+    expected = {artifact.path: artifact.sha256 for artifact in store}
+    assert len(expected) == len(static_surface())
+
+    lazy = served()  # renders each path on its first request
+    assert _served_fingerprint(lazy.port, expected) == store.fingerprint()
+    # Every path has been requested once: now all of them are static.
+    assert len(lazy.surface.wire) >= len(expected)
+    assert _served_fingerprint(lazy.port, expected) == store.fingerprint()
+    errors = _error_envelopes(lazy.port)
+
+    sealed = aio_served()
+    assert _served_fingerprint(sealed.port, expected) == store.fingerprint()
+    assert _error_envelopes(sealed.port) == errors
+
+    # The pre-forked pair serves the plane its supervisor sealed.
+    _session, port, _workers, plane = fleet()
+    fingerprint = _served_fingerprint(port, plane)
+    digest = hashlib.sha256()
+    for path in sorted(plane):
+        digest.update(path.encode("utf-8") + b"\0" + plane[path].encode() + b"\n")
+    assert fingerprint == digest.hexdigest()
+    assert _error_envelopes(port) == errors
 
 
 def test_two_workers_serve_identical_content_addressed_bytes(fleet):
@@ -184,7 +195,7 @@ def test_two_workers_serve_identical_content_addressed_bytes(fleet):
     """
     import hashlib
 
-    session, port, _workers = fleet()
+    session, port, _workers, _plane = fleet()
     for path in ("/v1/exhibits", "/v1/report", "/v1/scorecard/ve"):
         seen = set()
         for _ in range(8):  # fresh connection each time: both workers

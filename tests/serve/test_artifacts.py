@@ -86,37 +86,3 @@ def test_manifest_lists_every_artifact(artifact_plane):
     paths = [entry["path"] for entry in manifest["artifacts"]]
     assert paths == sorted(paths)
     assert len(paths) == len(store)
-
-
-def test_threaded_engine_serves_from_an_injected_store(artifact_plane):
-    """The threaded engine consults the sealed plane before rendering."""
-    import threading
-    import urllib.request
-
-    from repro.obs import get_registry
-    from repro.serve.server import ReproServer
-
-    context, store = artifact_plane
-    server = ReproServer(("127.0.0.1", 0), context, artifacts=store)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        with urllib.request.urlopen(server.url + "/v1/exhibits", timeout=60) as r:
-            body = r.read()
-            etag = r.headers.get("ETag")
-        artifact = store.get("/v1/exhibits")
-        assert body == artifact.body
-        assert etag == artifact.etag
-        assert get_registry().counter("serve.artifact.hit").value == 1
-        request = urllib.request.Request(
-            server.url + "/v1/exhibits", headers={"If-None-Match": etag}
-        )
-        import urllib.error
-
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=60)
-        assert excinfo.value.code == 304
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)

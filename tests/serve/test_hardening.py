@@ -1,11 +1,13 @@
 """Serve hardening: error envelopes, shedding, deadlines, breaker, health.
 
-These tests use throwaway servers with a tiny scenario parameter set (or
-a pre-seeded pool) so nothing here pays a full-size build.
+These tests use throwaway single-process servers (the ``served``
+factory) with a tiny scenario parameter set or a pool seeded with the
+session scenario, so nothing here pays a full-size build.
 """
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -20,7 +22,6 @@ from repro.serve import (
     DeadlineExpired,
     PoolTimeoutError,
     ScenarioPool,
-    create_server,
     deadline_scope,
 )
 from repro.serve.deadline import check, remaining
@@ -35,26 +36,6 @@ def _get(server, path, headers=None, timeout=60):
             return response.status, dict(response.headers), response.read()
     except urllib.error.HTTPError as err:
         return err.code, dict(err.headers), err.read()
-
-
-@pytest.fixture
-def served(scenario):
-    """Factory: a running server seeded with the session scenario."""
-    servers = []
-
-    def start(**kwargs):
-        server = create_server(**kwargs)
-        server.context.pool.seed(scenario)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append((server, thread))
-        return server
-
-    yield start
-    for server, thread in servers:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
 
 
 # -- error envelope + poisoned handler ---------------------------------------
@@ -300,3 +281,20 @@ def test_breaker_open_surfaces_as_503_with_retry_after(served):
     doc = json.loads(body)
     assert doc["error"]["reason"] == "BreakerOpenError"
     assert "circuit breaker open" in doc["error"]["message"]
+
+
+def test_render_past_its_deadline_still_fills_the_plane(served):
+    # The first /v1/report renders for longer than the deadline: that
+    # request gets its 503, but the render lands in the plane, so a
+    # later request is served from it instead of timing out again.
+    server = served(deadline_seconds=0.05)
+    status, headers, body = _get(server, "/v1/report")
+    assert status == 503
+    assert json.loads(body)["error"]["reason"] == "DeadlineExpired"
+    deadline = time.monotonic() + 60
+    while server.surface.find("report", {}) is None:
+        assert time.monotonic() < deadline, "the render never landed"
+        time.sleep(0.05)
+    status, headers, _ = _get(server, "/v1/report")
+    assert status == 200
+    assert "X-Request-Id" not in headers  # static

@@ -2,15 +2,17 @@
 
 import datetime as dt
 import json
-import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.mlab.ndt import NDTResult
-from repro.obs import get_registry
-from repro.serve import create_server
+from repro.serve import ScenarioPool, ServeContext
+from repro.serve.aio import AioServer
+from repro.serve.ingestor import enable_ingest
+from tests.serve.conftest import boot
 
 SMALL = {"ndt_tests_per_month": 2, "gpdns_samples_per_month": 1}
 
@@ -49,33 +51,38 @@ def _payload(n=3, country="VE"):
     return "\n".join(lines).encode()
 
 
+def _server(ingest_dir=None, prebuild=False, max_backlog=None):
+    """A single-process server over SMALL, with ingest when *ingest_dir*.
+
+    Ingest is enabled (and its journal recovered) before the server
+    starts serving, as ``repro serve --ingest-dir`` does.  Returns the
+    server and its drain-and-join.
+    """
+    server = AioServer(
+        ServeContext(pool=ScenarioPool(), params=dict(SMALL))
+    )
+    if ingest_dir is not None:
+        enable_ingest(server, ingest_dir, max_backlog=max_backlog)
+    if prebuild:
+        server.context.scenario()
+    return server, boot(server)
+
+
 @pytest.fixture()
 def ingest_server(tmp_path):
-    server = create_server(
-        params=SMALL,
-        prebuild=True,
-        ingest_dir=tmp_path / "wal",
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server, stop = _server(tmp_path / "wal", prebuild=True)
     yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    stop()
 
 
 def test_ingest_disabled_without_journal():
-    server = create_server(params=SMALL)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server, stop = _server()
     try:
         status, _, body = _post(server, "/v1/ingest/ndt", _payload())
         assert status == 503
         assert "ingestion disabled" in json.loads(body)["error"]["message"]
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+        stop()
 
 
 def test_ingest_receipt_and_surface_swap(ingest_server):
@@ -141,16 +148,9 @@ def test_ingest_error_mapping(ingest_server):
 
 
 def test_ingest_backpressure_429(tmp_path):
-    server = create_server(
-        params=SMALL,
-        ingest_dir=tmp_path / "wal",
-        ingest_max_backlog=1,
-    )
-    # No serving thread needed: drive the handler path through the
-    # ingestor directly after filling the backlog via HTTP would race
-    # the background apply — instead stall the apply lock.
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server, stop = _server(tmp_path / "wal", max_backlog=1)
+    # Filling the backlog via HTTP would race the background apply —
+    # instead stall the apply lock.
     ingestor = server.context.ingest
     try:
         with ingestor._apply_lock:  # hold the lock: applies stall
@@ -164,16 +164,12 @@ def test_ingest_backpressure_429(tmp_path):
             assert json.loads(body)["error"]["backlog"] == 1
         ingestor.join(timeout=120)
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+        stop()
 
 
 def test_recovery_from_journal_on_startup(tmp_path):
     wal_dir = tmp_path / "wal"
-    server = create_server(params=SMALL, prebuild=True, ingest_dir=wal_dir)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server, stop = _server(wal_dir, prebuild=True)
     try:
         status, _, _ = _post(server, "/v1/ingest/ndt", _payload())
         assert status == 200
@@ -181,14 +177,10 @@ def test_recovery_from_journal_on_startup(tmp_path):
         _, _, first = _get(server, "/v1/report")
         applied = server.context.ingest.service.applied_fingerprints
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+        stop()
 
     # A fresh process over the same journal converges to the same world.
-    reborn = create_server(params=SMALL, ingest_dir=wal_dir)
-    thread = threading.Thread(target=reborn.serve_forever, daemon=True)
-    thread.start()
+    reborn, stop = _server(wal_dir)
     try:
         assert reborn.surface.generation == 1  # swapped before serving
         _, _, second = _get(reborn, "/v1/report")
@@ -197,6 +189,34 @@ def test_recovery_from_journal_on_startup(tmp_path):
             reborn.context.ingest.service.applied_fingerprints == applied
         )
     finally:
-        reborn.shutdown()
-        reborn.server_close()
-        thread.join(timeout=10)
+        stop()
+
+
+def test_body_split_across_writes_then_pipelined_request(tmp_path):
+    # The body arrives in two writes with a GET pipelined behind it:
+    # the server must wait for the whole body, answer it, then answer
+    # the GET on the same connection.
+    import socket
+
+    server, stop = _server(tmp_path / "wal")
+    body = b"{broken"
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/ingest/ndt HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body[:3]
+            )
+            time.sleep(0.2)  # the server now holds a partial body
+            sock.sendall(body[3:] + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            sock.settimeout(30)
+            received = b""
+            while received.count(b"HTTP/1.1 ") < 2 or not received.endswith(b"}\n"):
+                chunk = sock.recv(65536)
+                assert chunk, received
+                received += chunk
+    finally:
+        stop()
+    first, second = received.split(b"HTTP/1.1 ")[1:]
+    assert first.startswith(b"422 ")  # the whole body was parsed (and refused)
+    assert second.startswith(b"200 ")
+    assert b'"journaled":0' in second

@@ -1,9 +1,12 @@
-"""End-to-end HTTP tests: envelopes, caching, ETags, concurrency, shutdown.
+"""End-to-end HTTP tests: envelopes, the lazy plane, ETags, concurrency, shutdown.
 
-The module-scoped ``warm_server`` is seeded with the session scenario,
-so these tests exercise the full network stack without paying extra
-scenario builds.  Cold-path behaviour (single-flight coalescing, drain
-on shutdown) uses throwaway servers with a small parameter set.
+These run against single-process servers, which fill their artifact
+plane as each static path is first requested.  The module-scoped
+``warm_server`` is seeded with the session scenario, so these tests
+exercise the full network stack without paying extra scenario builds.
+Tests that count or race first renders take a fresh server from the
+``served`` factory; cold-path behaviour (single-flight coalescing,
+drain on shutdown) uses a small parameter set.
 """
 
 import json
@@ -16,7 +19,8 @@ import pytest
 
 from repro.core.report import render_report
 from repro.obs import get_registry
-from repro.serve import create_server
+from repro.serve.aio import AioServer
+from tests.serve.conftest import boot, seeded_context, wait_for_counter
 
 SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
@@ -33,14 +37,10 @@ def _get(server, path, headers=None):
 
 @pytest.fixture(scope="module")
 def warm_server(scenario):
-    server = create_server()
-    server.context.pool.seed(scenario)  # share the session world
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = AioServer(seeded_context(scenario))  # share the session world
+    stop = boot(server)
     yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    stop()
 
 
 # -- endpoint payloads -------------------------------------------------------
@@ -158,7 +158,7 @@ def test_post_gets_405_envelope(warm_server):
     assert error["allowed"] == ["GET"]
 
 
-# -- caching and ETags -------------------------------------------------------
+# -- the lazy plane and ETags ------------------------------------------------
 
 
 def test_etag_304_roundtrip(warm_server):
@@ -173,8 +173,7 @@ def test_etag_304_roundtrip(warm_server):
     assert status == 304
     assert body == b""
     assert headers["ETag"] == etag
-    registry = get_registry()
-    assert registry.counter("serve.response.not_modified").value >= 1
+    wait_for_counter("serve.response.not_modified", 1)
 
 
 def test_stale_etag_gets_full_body(warm_server):
@@ -185,22 +184,30 @@ def test_stale_etag_gets_full_body(warm_server):
     assert body
 
 
-def test_response_cache_hit_counters(warm_server):
-    warm_server.response_cache.clear()
+def test_second_request_for_a_static_path_is_a_plane_hit(served):
+    # The first request renders the path into the plane; every later
+    # one is served from it: no handler run, one serve.artifact.hit each.
+    server = served()
     registry = get_registry()
-    _get(warm_server, "/v1/exhibit/fig03")
-    assert registry.counter("serve.cache.miss").value == 1
-    _get(warm_server, "/v1/exhibit/fig03")
-    _get(warm_server, "/v1/exhibit/fig03")
-    assert registry.counter("serve.cache.hit").value == 2
-    assert registry.counter("serve.cache.miss").value == 1
+    _, first_headers, first = _get(server, "/v1/exhibit/fig03")
+    assert registry.counter("exhibit.runs").value == 1
+    assert registry.counter("serve.artifact.hit").value == 0
+    for hits in (1, 2):
+        _, headers, body = _get(server, "/v1/exhibit/fig03")
+        assert (body, headers["ETag"]) == (first, first_headers["ETag"])
+        assert "X-Request-Id" not in headers  # static: no per-request headers
+        wait_for_counter("serve.artifact.hit", hits)
+        assert registry.counter("serve.artifact.hit").value == hits
+    assert registry.counter("exhibit.runs").value == 1
 
 
-def test_request_metrics_recorded_per_endpoint(warm_server):
+def test_request_metrics_recorded_per_endpoint(served):
+    # First requests: every one takes the live path and its timer.
+    server = served()
     registry = get_registry()
-    _get(warm_server, "/v1/exhibit/fig01")
-    _get(warm_server, "/v1/report")
-    _get(warm_server, "/healthz")
+    _get(server, "/v1/exhibit/fig01")
+    _get(server, "/v1/report")
+    _get(server, "/healthz")
     assert registry.counter("serve.requests").value == 3
     assert registry.timer("serve.request.exhibit").count == 1
     assert registry.timer("serve.request.report").count == 1
@@ -210,17 +217,17 @@ def test_request_metrics_recorded_per_endpoint(warm_server):
 # -- concurrency -------------------------------------------------------------
 
 
-def test_concurrent_requests_are_byte_identical(warm_server):
-    # Eight threads race on an evicted response: every body must be the
-    # same bytes whether it was computed or replayed.
-    warm_server.response_cache.clear()
+def test_concurrent_requests_are_byte_identical(served):
+    # Eight threads race on a path the plane has not rendered yet: every
+    # body must be the same bytes whether it was rendered or replayed.
+    server = served()
     barrier = threading.Barrier(8)
     results = []
     lock = threading.Lock()
 
     def worker():
         barrier.wait()
-        status, headers, body = _get(warm_server, "/v1/exhibit/fig01")
+        status, headers, body = _get(server, "/v1/exhibit/fig01")
         with lock:
             results.append((status, headers.get("ETag"), body))
 
@@ -236,49 +243,41 @@ def test_concurrent_requests_are_byte_identical(warm_server):
     assert len({etag for _, etag, _ in results}) == 1
 
 
-def test_cold_burst_triggers_exactly_one_scenario_build():
+def test_cold_burst_triggers_exactly_one_scenario_build(served):
     # Eight concurrent first requests against a cold server: the pool's
     # single-flight must fold them onto one build (16 datasets, once).
-    server = create_server(params=dict(SMALL))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        barrier = threading.Barrier(8)
-        results = []
-        lock = threading.Lock()
+    server = served(params=SMALL)
+    barrier = threading.Barrier(8)
+    results = []
+    lock = threading.Lock()
 
-        def worker():
-            barrier.wait()
-            status, _, body = _get(server, "/v1/exhibit/fig01")
-            with lock:
-                results.append((status, body))
+    def worker():
+        barrier.wait()
+        status, _, body = _get(server, "/v1/exhibit/fig01")
+        with lock:
+            results.append((status, body))
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
 
-        assert {status for status, _ in results} == {200}
-        assert len({body for _, body in results}) == 1
-        registry = get_registry()
-        assert registry.counter("scenario.dataset.built").value == 16
-        assert registry.timer("serve.pool.build").count == 1
-        assert registry.counter("serve.inflight.coalesced").value >= 1
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+    assert {status for status, _ in results} == {200}
+    assert len({body for _, body in results}) == 1
+    registry = get_registry()
+    assert registry.counter("scenario.dataset.built").value == 16
+    assert registry.timer("serve.pool.build").count == 1
+    assert registry.counter("serve.inflight.coalesced").value >= 1
 
 
-def test_graceful_shutdown_drains_inflight_requests():
-    # A request that arrives before shutdown() must be fully answered:
-    # server_close() joins handler threads, so by the time it returns
-    # the in-flight /v1/report (which pays a multi-second cold build)
-    # has produced its 200.
-    server = create_server(params=dict(SMALL))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+def test_graceful_shutdown_drains_inflight_requests(scenario):
+    # A request that arrives before shutdown must be fully answered: the
+    # drain waits for the in-flight /v1/report (which pays a
+    # multi-second cold build) to produce its 200 before the server
+    # thread returns.
+    server = AioServer(seeded_context(scenario, SMALL))
+    stop = boot(server)
     started = threading.Event()
     result = {}
 
@@ -292,9 +291,7 @@ def test_graceful_shutdown_drains_inflight_requests():
     requester.start()
     started.wait(timeout=10)
     time.sleep(0.5)  # let the request reach the handler (build takes >1s)
-    server.shutdown()
-    server.server_close()  # must block until the response is written
-    thread.join(timeout=10)
+    stop()  # must block until the response is written
     requester.join(timeout=10)
 
     assert result.get("status") == 200
@@ -344,11 +341,12 @@ def test_healthz_embeds_slo_summary(warm_server):
 
 
 def test_every_response_carries_request_id_and_traceparent(warm_server):
+    # Every live response does; static plane responses (/v1/report once
+    # rendered) are precompiled bytes and carry no per-request headers.
     from repro.obs import parse_traceparent
 
     for path, expected in (
         ("/healthz", 200),
-        ("/v1/report", 200),
         ("/v1/nope", 404),        # error envelopes carry the headers too
         ("/v1/scorecard/us", 422),
     ):

@@ -17,7 +17,9 @@ import urllib.request
 import pytest
 
 from repro.obs import parse_traceparent, trace_from_json
-from repro.serve import create_server
+from repro.serve import ScenarioPool, ServeContext
+from repro.serve.aio import AioServer
+from tests.serve.conftest import boot, seeded_context
 
 SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
@@ -60,14 +62,12 @@ def _assert_span_tree(doc):
 @pytest.fixture(scope="module")
 def traced_server(scenario, tmp_path_factory):
     trace_dir = tmp_path_factory.mktemp("traces")
-    server = create_server(trace_sample_rate=1.0, trace_dir=trace_dir)
-    server.context.pool.seed(scenario)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = AioServer(
+        seeded_context(scenario), trace_sample_rate=1.0, trace_dir=trace_dir
+    )
+    stop = boot(server)
     yield server, trace_dir
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    stop()
 
 
 # -- eight-thread integrity ---------------------------------------------------
@@ -167,53 +167,48 @@ def test_client_request_id_is_echoed(traced_server):
 # -- serve -> pool -> dataset-build linkage -----------------------------------
 
 
-def test_trace_links_serve_pool_and_parallel_dataset_builds(tmp_path):
+def test_trace_links_serve_pool_and_parallel_dataset_builds(served, tmp_path):
     # a cold server with a 2-worker pool: the sampled first request's
     # artifact must show the serve root span, the pool's single-flight
     # build under it, and dataset builds fanned out to executor threads
-    server = create_server(
-        params=dict(SMALL), jobs=2, trace_sample_rate=1.0, trace_dir=tmp_path
+    server = served(
+        context=ServeContext(pool=ScenarioPool(build_workers=2), params=dict(SMALL)),
+        trace_sample_rate=1.0,
+        trace_dir=tmp_path,
     )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        status, headers, _ = _get(server, "/v1/report")
-        assert status == 200
-        parsed = parse_traceparent(headers["traceparent"])
-        doc = trace_from_json(json.dumps(_wait_for_trace(tmp_path, parsed.trace_id)))
-        root = _assert_span_tree(doc)
-        assert root["name"] == "serve.request.report"
+    status, headers, _ = _get(server, "/v1/report")
+    assert status == 200
+    parsed = parse_traceparent(headers["traceparent"])
+    doc = trace_from_json(json.dumps(_wait_for_trace(tmp_path, parsed.trace_id)))
+    root = _assert_span_tree(doc)
+    assert root["name"] == "serve.request.report"
 
-        spans = doc["spans"]
-        by_id = {span["span_id"]: span for span in spans}
-        names = {span["name"] for span in spans}
-        assert "serve.pool.build" in names
-        assert "scenario.build.parallel" in names
-        build_spans = [
-            s
-            for s in spans
-            if s["name"].startswith("scenario.build.")
-            and s["name"] != "scenario.build.parallel"
-        ]
-        assert len(build_spans) == 16  # one per dataset
+    spans = doc["spans"]
+    by_id = {span["span_id"]: span for span in spans}
+    names = {span["name"] for span in spans}
+    assert "serve.pool.build" in names
+    assert "scenario.build.parallel" in names
+    build_spans = [
+        s
+        for s in spans
+        if s["name"].startswith("scenario.build.")
+        and s["name"] != "scenario.build.parallel"
+    ]
+    assert len(build_spans) == 16  # one per dataset
 
-        def ancestors(span):
-            seen = []
-            while span["parent_id"] is not None:
-                span = by_id[span["parent_id"]]
-                seen.append(span["name"])
-            return seen
+    def ancestors(span):
+        seen = []
+        while span["parent_id"] is not None:
+            span = by_id[span["parent_id"]]
+            seen.append(span["name"])
+        return seen
 
-        # every dataset build chains up through the parallel umbrella,
-        # the pool build, and the serve request span — across threads
-        for span in build_spans:
-            chain = ancestors(span)
-            assert "scenario.build.parallel" in chain
-            assert "serve.pool.build" in chain
-            assert chain[-1] == "serve.request.report"
-        # and the fan-out really crossed threads
-        assert len({s["thread"] for s in build_spans}) > 1
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+    # every dataset build chains up through the parallel umbrella,
+    # the pool build, and the serve request span — across threads
+    for span in build_spans:
+        chain = ancestors(span)
+        assert "scenario.build.parallel" in chain
+        assert "serve.pool.build" in chain
+        assert chain[-1] == "serve.request.report"
+    # and the fan-out really crossed threads
+    assert len({s["thread"] for s in build_spans}) > 1

@@ -31,7 +31,7 @@ def _refused(port):
 
 
 def test_killed_worker_is_respawned(fleet):
-    session, port, workers = fleet(max_restarts=5, **_FAST_RESTARTS)
+    session, port, workers, _plane = fleet(max_restarts=5, **_FAST_RESTARTS)
     victim = max(workers)
     os.kill(victim, signal.SIGKILL)
 
@@ -46,7 +46,7 @@ def test_killed_worker_is_respawned(fleet):
 
 
 def test_crash_loop_gives_up_nonzero(fleet):
-    session, _port, workers = fleet(max_restarts=2, **_FAST_RESTARTS)
+    session, _port, workers, _plane = fleet(max_restarts=2, **_FAST_RESTARTS)
     # Keep killing every worker that announces itself; after
     # max_restarts exits inside the window the supervisor must stop
     # respawning and exit 1, which ends its stdout.
@@ -64,7 +64,7 @@ def test_crash_loop_gives_up_nonzero(fleet):
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
 def test_workers_exit_when_supervisor_is_killed(fleet):
-    session, port, workers = fleet()
+    session, port, workers, _plane = fleet()
     deadline = time.monotonic() + 10
     session.process.kill()
     assert session.process.wait(timeout=10) == -signal.SIGKILL
