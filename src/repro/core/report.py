@@ -1,8 +1,9 @@
 """Run exhibits and render the paper-vs-measured report.
 
-Every exhibit run is timed into ``exhibit.run.<id>`` and counted in
-``exhibit.runs`` (see :mod:`repro.obs`), so ``python -m repro stats``
-and the ``--metrics-json`` artifact report per-exhibit wall time.
+Every exhibit computation is timed into ``exhibit.run.<id>`` and
+counted in ``exhibit.runs`` (see :mod:`repro.obs`), so ``python -m repro
+stats`` and the ``--metrics-json`` artifact report per-exhibit wall
+time.  A repeat on the same scenario is a memo hit and is not counted.
 
 Degradation (see ``docs/RELIABILITY.md``): an exhibit whose scenario
 dataset degraded in lenient mode renders as an empty table carrying a
@@ -29,7 +30,11 @@ def is_degraded(exhibit: Exhibit) -> bool:
 
 
 def run_exhibit(scenario: Scenario, exhibit_id: str) -> Exhibit:
-    """Run one exhibit against a scenario.
+    """One exhibit of a scenario, computed on its first request.
+
+    The result is memoized on the scenario (:meth:`Scenario.derive`),
+    so ``/v1/report`` and ``/v1/exhibit/<id>`` share one computation;
+    the timer and counter record computations, not memo hits.
 
     A :class:`DatasetDegradedError` out of the exhibit function becomes
     an empty placeholder exhibit (``degraded:`` note) rather than a
@@ -37,18 +42,22 @@ def run_exhibit(scenario: Scenario, exhibit_id: str) -> Exhibit:
     report.  Any other exception propagates unchanged.
     """
     fn = get_exhibit(exhibit_id)
-    try:
-        exhibit = timed(f"exhibit.run.{exhibit_id}", lambda: fn(scenario))
-    except DatasetDegradedError as err:
-        get_registry().counter("exhibit.degraded").inc()
-        exhibit = Exhibit(
-            exhibit_id=exhibit_id,
-            title=_placeholder_title(exhibit_id),
-            rows=[],
-            notes=f"{DEGRADED_NOTE_PREFIX} dataset {err.name!r} unavailable ({err.reason})",
-        )
-    get_registry().counter("exhibit.runs").inc()
-    return exhibit
+
+    def compute() -> Exhibit:
+        try:
+            exhibit = timed(f"exhibit.run.{exhibit_id}", lambda: fn(scenario))
+        except DatasetDegradedError as err:
+            get_registry().counter("exhibit.degraded").inc()
+            exhibit = Exhibit(
+                exhibit_id=exhibit_id,
+                title=_placeholder_title(exhibit_id),
+                rows=[],
+                notes=f"{DEGRADED_NOTE_PREFIX} dataset {err.name!r} unavailable ({err.reason})",
+            )
+        get_registry().counter("exhibit.runs").inc()
+        return exhibit
+
+    return scenario.derive(("exhibit", exhibit_id), compute)
 
 
 def _placeholder_title(exhibit_id: str) -> str:

@@ -11,6 +11,9 @@ the same object.  ``build_all(max_workers=N)`` exploits that by
 scheduling independent datasets onto a thread pool via
 :mod:`repro.exec.executor`, and an optional :class:`repro.exec.cache.DatasetCache`
 short-circuits builds entirely from a persistent on-disk store.
+Values computed from the datasets (each exhibit, each scorecard panel)
+go through :meth:`Scenario.derive`, the same locking over a separate
+memo, so one scenario computes each of them once.
 
 Every dataset build is observable: it runs under a
 ``scenario.build.<name>`` span/timer and bumps the
@@ -41,7 +44,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
 
 from repro.apnic.model import APNICEstimates
 from repro.apnic.synthetic import synthesize_populations
@@ -136,6 +139,8 @@ class Scenario:
         self._registry_lock = threading.Lock()
         self._dataset_locks: dict[str, threading.Lock] = {}
         self._materialised: dict[str, object] = {}
+        self._derive_locks: dict[Hashable, threading.Lock] = {}
+        self._derived: dict[Hashable, object] = {}
 
     def cache_params(self) -> dict[str, int]:
         """The scenario parameters that key every cache entry."""
@@ -145,11 +150,13 @@ class Scenario:
             "seed": self.seed,
         }
 
-    def _lock_for(self, name: str) -> threading.Lock:
+    def _lock_for(
+        self, key: Hashable, locks: dict[Hashable, threading.Lock]
+    ) -> threading.Lock:
         with self._registry_lock:
-            lock = self._dataset_locks.get(name)
+            lock = locks.get(key)
             if lock is None:
-                lock = self._dataset_locks[name] = threading.Lock()
+                lock = locks[key] = threading.Lock()
             return lock
 
     def _build(self, name: str, thunk: Callable[[], T]) -> T:
@@ -174,7 +181,7 @@ class Scenario:
         :class:`DatasetDegradedError`.  A dependency's degradation is
         never retried — it cascades immediately.
         """
-        with self._lock_for(name):
+        with self._lock_for(name, self._dataset_locks):
             if name not in self._materialised:
                 self._materialised[name] = timed(
                     f"scenario.build.{name}", lambda: self._materialise(name, thunk)
@@ -254,6 +261,33 @@ class Scenario:
         from repro.ingest.overlay import apply_overlay
 
         return apply_overlay(self, name, value)
+
+    # -- derived values ------------------------------------------------------
+
+    def derive(self, key: Hashable, thunk: Callable[[], T]) -> T:
+        """The value *thunk* computes from this scenario, computed once.
+
+        The analysis-level twin of :meth:`_build`, with the same
+        double-checked per-key locking: the first caller for *key* runs
+        *thunk*, and every later or racing caller gets the same object.
+        Keys live in their own namespace, apart from dataset names.  A
+        thunk that raises stores nothing, so the next call runs it
+        again.  No cache, retry, fault plan or overlay is involved: the
+        thunk reads datasets through the properties, which already
+        apply them.
+
+        The memo lives as long as the scenario.  Each ingest apply
+        builds a new (overlay) scenario, so it starts with an empty
+        memo and nothing ever needs invalidating.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            pass
+        with self._lock_for(key, self._derive_locks):
+            if key not in self._derived:
+                self._derived[key] = thunk()
+            return self._derived[key]  # type: ignore[return-value]
 
     # -- degradation introspection -------------------------------------------
 

@@ -16,10 +16,19 @@ count so callers can tell "no data" from "rank not computed".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.degrade import DatasetDegradedError
 from repro.core.scenario import Scenario
-from repro.geo.countries import UnknownCountryError, country  # noqa: F401  (re-export)
+from repro.geo.countries import (  # noqa: F401  (UnknownCountryError: re-export)
+    LACNIC_CODES,
+    UnknownCountryError,
+    country,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.timeseries.panel import CountryPanel
 
 
 class NonLacnicCountryError(ValueError):
@@ -140,6 +149,9 @@ class Scorecard:
 def build_scorecard(scenario: Scenario, code: str) -> Scorecard:
     """Compute the scorecard for one LACNIC country.
 
+    Each panel's rows are computed once per scenario, for every LACNIC
+    country at once (:func:`_panel_rows`); a scorecard indexes them.
+
     Args:
         scenario: The world to measure against.
         code: ISO 3166-1 alpha-2 code, any case.
@@ -155,7 +167,7 @@ def build_scorecard(scenario: Scenario, code: str) -> Scorecard:
     home = check_country(code)  # raises UnknownCountryError / NonLacnicCountryError
 
     # Thunks, not values: each panel touches its dataset only when its
-    # row is computed, so one degraded dataset costs one panel, not all.
+    # rows are computed, so one degraded dataset costs one panel, not all.
     panels = [
         ("peering facilities", lambda: scenario.peeringdb.facility_count_panel()),
         ("submarine cables", lambda: scenario.cables.count_panel(2000, 2024)),
@@ -169,30 +181,40 @@ def build_scorecard(scenario: Scenario, code: str) -> Scorecard:
             lambda: median_download_panel(scenario.ndt_tests),
         ),
     ]
-    rows = []
-    for name, thunk in panels:
-        try:
-            panel = thunk()
-        except DatasetDegradedError as err:
-            rows.append(
-                ScorecardRow(
-                    name, None, None, None, 0,
-                    degraded=f"degraded: dataset {err.name!r}",
-                )
-            )
-            continue
+    rows = [
+        scenario.derive(("scorecard", name), partial(_panel_rows, name, thunk))[code]
+        for name, thunk in panels
+    ]
+    return Scorecard(code=code, name=home.name, rows=rows)
+
+
+def _panel_rows(
+    name: str, panel_thunk: Callable[[], CountryPanel]
+) -> dict[str, ScorecardRow]:
+    """Every LACNIC country's latest row of one panel, keyed by code.
+
+    The panel itself is dropped once ranked: only these rows are kept
+    on the scenario.
+    """
+    try:
+        panel = panel_thunk()
+    except DatasetDegradedError as err:
+        gap = ScorecardRow(
+            name, None, None, None, 0, degraded=f"degraded: dataset {err.name!r}"
+        )
+        return dict.fromkeys(LACNIC_CODES, gap)
+    rows = {}
+    for code in LACNIC_CODES:
         series = panel.get(code)
         if series is None or not series:
-            rows.append(ScorecardRow(name, None, None, None, len(panel)))
+            rows[code] = ScorecardRow(name, None, None, None, len(panel))
             continue
         month = series.last_month()
-        rows.append(
-            ScorecardRow(
-                panel=name,
-                month=str(month),
-                value=float(series.last_value()),
-                rank=panel.rank_in_month(code, month),
-                total=len(panel),
-            )
+        rows[code] = ScorecardRow(
+            panel=name,
+            month=str(month),
+            value=float(series.last_value()),
+            rank=panel.rank_in_month(code, month),
+            total=len(panel),
         )
-    return Scorecard(code=code, name=home.name, rows=rows)
+    return rows

@@ -35,8 +35,10 @@ exports a ``repro.trace/1`` artifact.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the accept loop, idle
 connections close, and every request already received is answered
-before the process exits.  ``--workers N`` pre-forks after the seal and
-binds one ``SO_REUSEPORT`` socket per worker (or shares the parent's).
+before the process exits; with ingest enabled, a running apply then
+finishes and the journal is closed.  ``--workers N`` pre-forks after
+the seal and binds one ``SO_REUSEPORT`` socket per worker (or shares
+the parent's).
 
 Static responses count into ``serve.requests`` / ``serve.artifact.hit``
 in batches (every :data:`_FLUSH_EVERY` and on disconnect), and one in
@@ -617,6 +619,8 @@ class AioServer:
             if protocol.transport is not None:
                 protocol.transport.close()
         self._executor.shutdown(wait=True)
+        if self.context.ingest is not None:
+            self.context.ingest.close()
 
     def _track(self, task: asyncio.Task) -> None:
         self._tasks.add(task)

@@ -22,8 +22,10 @@ size) and a combined fingerprint over the whole plane.
 
 Observability: the build runs under the ``serve.artifacts.build`` timer
 and sets the ``serve.artifacts.count`` / ``serve.artifacts.bytes``
-gauges; per-request hits are counted in ``serve.artifact.hit`` by the
-server.
+gauges; each render, sealed or lazy, runs under a
+``serve.artifacts.render.<endpoint>`` timer, so a seal splits by
+endpoint class; per-request hits are counted in ``serve.artifact.hit``
+by the server.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from repro.obs import get_registry
+from repro.obs import get_registry, timed
 from repro.serve.router import JSON_CONTENT_TYPE, envelope_bytes, etag_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,15 +133,19 @@ def render_artifact(
     """Render one static endpoint instance through its handler + envelope.
 
     The handler (``repro.serve.handlers.handle_<endpoint>``) and
-    :func:`envelope_bytes` are looked up at call time.  Raises whatever
-    the handler raises (an :class:`~repro.serve.router.HTTPError` for a
-    parameter outside the static domain).
+    :func:`envelope_bytes` are looked up at call time; a render that
+    returns is timed into ``serve.artifacts.render.<endpoint>``.  Raises
+    whatever the handler raises (an :class:`~repro.serve.router.HTTPError`
+    for a parameter outside the static domain).
     """
     from repro.serve import handlers
 
     params = canonical_params(endpoint, params)
     handler = getattr(handlers, f"handle_{endpoint}")
-    body = envelope_bytes(handler(context, **params))
+    body = timed(
+        f"serve.artifacts.render.{endpoint}",
+        lambda: envelope_bytes(handler(context, **params)),
+    )
     return Artifact(
         path=path_for(endpoint, params),
         endpoint=endpoint,

@@ -128,6 +128,15 @@ class ServeIngestor:
         if thread is not None:
             thread.join(timeout)
 
+    def close(self) -> None:
+        """Let a running apply finish, then close the journal.
+
+        The server calls this once it has drained, so no submit can
+        start another apply.
+        """
+        self.join()
+        self.service.wal.close()
+
     def _schedule_apply(self) -> None:
         with self._state_lock:
             self._wakeup.set()

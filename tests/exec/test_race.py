@@ -2,11 +2,15 @@
 
 ``functools.cached_property`` stopped locking in Python 3.12, so the
 safety here comes entirely from ``Scenario._build``'s per-dataset
-double-checked locking — these tests hammer it.
+double-checked locking — these tests hammer it, and the same locking
+behind ``Scenario.derive``.
 """
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+
+import pytest
 
 from repro.core import Scenario
 from repro.exec import DatasetCache
@@ -73,3 +77,60 @@ def test_racing_different_properties_never_cross_contaminate():
         by_name.setdefault(name, value)
         assert by_name[name] is value
     assert get_registry().counter("scenario.dataset.built").value == 4
+
+
+def test_eight_threads_one_derive_compute_once():
+    # Scenario.derive: one slow thunk, eight racing callers, one call,
+    # one shared object.
+    scenario = Scenario(ndt_tests_per_month=1)
+    calls = []
+
+    def slow():
+        calls.append(1)
+        time.sleep(0.2)
+        return object()
+
+    barrier = threading.Barrier(8)
+
+    def grab():
+        barrier.wait()
+        return scenario.derive(("test", "slow"), slow)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = [f.result() for f in [pool.submit(grab) for _ in range(8)]]
+    assert len(calls) == 1
+    assert all(r is results[0] for r in results)
+
+
+def test_derive_thunk_that_raises_stores_nothing():
+    scenario = Scenario(ndt_tests_per_month=1)
+    attempts = []
+
+    def flaky():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise RuntimeError("transient")
+        return "value"
+
+    with pytest.raises(RuntimeError, match="transient"):
+        scenario.derive("key", flaky)
+    assert scenario.derive("key", flaky) == "value"  # ran again
+    assert scenario.derive("key", flaky) == "value"  # now memoized
+    assert len(attempts) == 2
+
+
+def test_derive_keys_live_apart_from_dataset_names():
+    # A derived value keyed like a dataset, whose thunk reads that very
+    # dataset, takes a lock of its own: no deadlock, no shadowing.
+    scenario = Scenario(ndt_tests_per_month=1)
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(scenario.derive("macro", lambda: scenario.macro)),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "derive('macro') deadlocked on the dataset lock"
+    assert results == [scenario.macro]
+    assert scenario.derive("macro", lambda: None) is scenario.macro
+    assert scenario.degraded() == []

@@ -1,19 +1,30 @@
 """The precomputed artifact plane: surface, sealing, content addressing."""
 
 import hashlib
+from collections import Counter
 
 import dataclasses
 import pytest
 
-from repro.core import exhibit_ids
+from repro.core import Scenario, exhibit_ids
 from repro.geo.countries import LACNIC_CODES
+from repro.ipv6.model import AdoptionDataset
+from repro.mlab import aggregate
+from repro.obs import get_registry
+from repro.peeringdb.archive import PeeringDBArchive
+from repro.rootdns import analysis
+from repro.serve import handlers
 from repro.serve.artifacts import (
     ArtifactStore,
+    build_artifact_store,
     canonical_params,
     path_for,
     static_surface,
 )
+from repro.serve.handlers import ServeContext
+from repro.serve.pool import ScenarioPool
 from repro.serve.router import etag_for
+from repro.telegeography.model import CableMap
 
 
 def test_surface_enumerates_the_whole_static_api():
@@ -86,3 +97,53 @@ def test_manifest_lists_every_artifact(artifact_plane):
     paths = [entry["path"] for entry in manifest["artifacts"]]
     assert paths == sorted(paths)
     assert len(paths) == len(store)
+
+
+def test_a_seal_computes_each_exhibit_and_scorecard_panel_once(
+    artifact_plane, monkeypatch
+):
+    # /v1/report and the 23 /v1/exhibit/<id> share one computation per
+    # exhibit, and the 33 scorecards share one computation per panel:
+    # on a fresh scenario a seal runs 23 exhibits, not 46, and ranks
+    # each region-wide panel once, not once per country.
+    scoring: list[str] = []  # non-empty while a scorecard renders
+    panel_calls: Counter = Counter()
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if scoring:
+                panel_calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    panels = [
+        (PeeringDBArchive, "facility_count_panel"),
+        (CableMap, "count_panel"),
+        (AdoptionDataset, "panel"),
+        (analysis, "replica_count_panel"),
+        (aggregate, "median_download_panel"),
+    ]
+    for owner, name in panels:
+        spy(owner, name)
+    handle_scorecard = handlers.handle_scorecard
+
+    def scorecard(ctx, country):
+        scoring.append(country)
+        try:
+            return handle_scorecard(ctx, country)
+        finally:
+            scoring.pop()
+
+    monkeypatch.setattr(handlers, "handle_scorecard", scorecard)
+
+    pool = ScenarioPool()
+    pool.seed(Scenario())
+    runs = get_registry().counter("exhibit.runs")
+    before = runs.value
+    store = build_artifact_store(ServeContext(pool=pool))
+    assert runs.value - before == len(exhibit_ids())
+    assert panel_calls == {name: 1 for _, name in panels}
+    assert store.fingerprint() == artifact_plane[1].fingerprint()

@@ -23,6 +23,7 @@ from repro.serve import (
     PoolTimeoutError,
     ScenarioPool,
     deadline_scope,
+    handlers,
 )
 from repro.serve.deadline import check, remaining
 
@@ -283,10 +284,19 @@ def test_breaker_open_surfaces_as_503_with_retry_after(served):
     assert "circuit breaker open" in doc["error"]["message"]
 
 
-def test_render_past_its_deadline_still_fills_the_plane(served):
+def test_render_past_its_deadline_still_fills_the_plane(served, monkeypatch):
     # The first /v1/report renders for longer than the deadline: that
     # request gets its 503, but the render lands in the plane, so a
     # later request is served from it instead of timing out again.
+    # The session scenario may already hold every exhibit, which makes
+    # the real render fast; the handler is slowed past the deadline.
+    render_report = handlers.handle_report
+
+    def slow_report(ctx):
+        time.sleep(0.2)
+        return render_report(ctx)
+
+    monkeypatch.setattr(handlers, "handle_report", slow_report)
     server = served(deadline_seconds=0.05)
     status, headers, body = _get(server, "/v1/report")
     assert status == 503

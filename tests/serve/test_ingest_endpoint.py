@@ -2,9 +2,11 @@
 
 import datetime as dt
 import json
+import os
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +222,32 @@ def test_body_split_across_writes_then_pipelined_request(tmp_path):
     assert first.startswith(b"422 ")  # the whole body was parsed (and refused)
     assert second.startswith(b"200 ")
     assert b'"journaled":0' in second
+
+
+def _open_files_under(directory):
+    """Paths under *directory* this process holds open (Linux /proc)."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    opened = []
+    for fd in fds.iterdir():
+        try:
+            target = Path(os.readlink(fd))
+        except OSError:  # closed since the listing
+            continue
+        if target.is_relative_to(directory):
+            opened.append(target)
+    return opened
+
+
+def test_drained_server_closes_its_journal(tmp_path):
+    # Drain joins the apply thread, then closes the journal's open
+    # segment: nothing under the ingest directory stays open.
+    wal_dir = tmp_path / "wal"
+    server, stop = _server(wal_dir)
+    status, _, _ = _post(server, "/v1/ingest/ndt", _payload())
+    assert status == 200
+    assert _open_files_under(wal_dir.resolve())  # the segment, while serving
+    stop()
+    assert server.context.ingest.service.applied_seq == 1  # the apply finished
+    assert _open_files_under(wal_dir.resolve()) == []
