@@ -238,9 +238,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve the API from one process, or from pre-forked workers.
 
-    A single process fills its artifact plane as each static path is
-    first requested.  ``--workers N>1`` seals the whole plane before any
-    fork, so the workers share it copy-on-write.
+    A single process builds its world before it listens (after any
+    journal recovery) and fills its artifact plane as each static path
+    is first requested.  ``--workers N>1`` seals the whole plane before
+    any fork, so the workers share it copy-on-write.
     """
     if args.ingest_dir and args.workers > 1:
         # The journal, its apply thread and the surface hot-swap live in
@@ -304,9 +305,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 strict=args.strict,
                 max_backlog=args.ingest_max_backlog,
             )
-        if not args.no_prebuild:
-            server.context.scenario()
-            print("scenario prebuilt; serving warm", file=sys.stderr)
         _announce(sock.getsockname()[1])
         run_aio(server)
     print("server drained; exiting", file=sys.stderr)
@@ -435,75 +433,78 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         max_backlog=args.max_backlog or DEFAULT_MAX_BACKLOG,
         strict=args.strict,
     )
-    if args.file is not None:
-        try:
-            lines = Path(args.file).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            print(f"cannot read batch file: {exc}", file=sys.stderr)
-            return 2
-    elif not sys.stdin.isatty():
-        lines = sys.stdin.read().splitlines()
-    else:
-        lines = []
-    lines = [line for line in lines if line.strip()]
-    meta = {"month": args.month} if args.month else {}
-    receipt = None
-    if lines:
-        try:
-            receipt = service.submit(args.format, lines, meta)
-        except IngestBacklogError as exc:
+    try:
+        if args.file is not None:
+            try:
+                lines = Path(args.file).read_text(encoding="utf-8").splitlines()
+            except OSError as exc:
+                print(f"cannot read batch file: {exc}", file=sys.stderr)
+                return 2
+        elif not sys.stdin.isatty():
+            lines = sys.stdin.read().splitlines()
+        else:
+            lines = []
+        lines = [line for line in lines if line.strip()]
+        meta = {"month": args.month} if args.month else {}
+        receipt = None
+        if lines:
+            try:
+                receipt = service.submit(args.format, lines, meta)
+            except IngestBacklogError as exc:
+                print(
+                    f"rejected: {exc} (retry after {exc.retry_after}s)",
+                    file=sys.stderr,
+                )
+                return 3
+            except (IngestValidationError, ValueError) as exc:
+                print(f"rejected: {exc}", file=sys.stderr)
+                return 2
+            verb = "re-acked duplicate" if receipt.duplicate else "journaled"
             print(
-                f"rejected: {exc} (retry after {exc.retry_after}s)",
+                f"{verb} seq {receipt.seq}: {receipt.accepted} records "
+                f"({receipt.quarantined} quarantined) -> "
+                f"{', '.join(receipt.partitions)} [backlog {receipt.backlog}]",
                 file=sys.stderr,
             )
-            return 3
-        except (IngestValidationError, ValueError) as exc:
-            print(f"rejected: {exc}", file=sys.stderr)
-            return 2
-        verb = "re-acked duplicate" if receipt.duplicate else "journaled"
-        print(
-            f"{verb} seq {receipt.seq}: {receipt.accepted} records "
-            f"({receipt.quarantined} quarantined) -> "
-            f"{', '.join(receipt.partitions)} [backlog {receipt.backlog}]",
-            file=sys.stderr,
-        )
-    result = None
-    if args.apply and service.backlog() > 0:
-        params = {
-            "ndt_tests_per_month": args.ndt_tests_per_month,
-            "gpdns_samples_per_month": args.gpdns_samples_per_month,
-        }
-        result = apply_ingest(
-            service,
-            _resolve_cache(args),
-            params,
-            jobs=args.jobs,
-            strict=args.strict,
-        )
-        print(
-            f"applied through seq {result.applied_seq}; artifact "
-            f"fingerprint {result.artifact_fingerprint[:12]}",
-            file=sys.stderr,
-        )
-    elif args.apply:
-        print("journal fully applied; nothing to do", file=sys.stderr)
-    if args.receipt:
-        doc = {
-            "schema": "repro.ingest-run/1",
-            "receipt": receipt.to_dict() if receipt else None,
-            "journaled": service.wal.last_seq,
-            "applied_seq": service.applied_seq,
-            "fingerprints": (
-                result.fingerprints()
-                if result is not None
-                else service.applied_fingerprints
-            ),
-        }
-        path = Path(args.receipt)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"receipt written to {path}", file=sys.stderr)
-    return 0
+        result = None
+        if args.apply and service.backlog() > 0:
+            params = {
+                "ndt_tests_per_month": args.ndt_tests_per_month,
+                "gpdns_samples_per_month": args.gpdns_samples_per_month,
+            }
+            result = apply_ingest(
+                service,
+                _resolve_cache(args),
+                params,
+                jobs=args.jobs,
+                strict=args.strict,
+            )
+            print(
+                f"applied through seq {result.applied_seq}; artifact "
+                f"fingerprint {result.artifact_fingerprint[:12]}",
+                file=sys.stderr,
+            )
+        elif args.apply:
+            print("journal fully applied; nothing to do", file=sys.stderr)
+        if args.receipt:
+            doc = {
+                "schema": "repro.ingest-run/1",
+                "receipt": receipt.to_dict() if receipt else None,
+                "journaled": service.wal.last_seq,
+                "applied_seq": service.applied_seq,
+                "fingerprints": (
+                    result.fingerprints()
+                    if result is not None
+                    else service.applied_fingerprints
+                ),
+            }
+            path = Path(args.receipt)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            print(f"receipt written to {path}", file=sys.stderr)
+        return 0
+    finally:
+        service.wal.close()
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -672,13 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         "SO_REUSEPORT, after sealing the artifact plane they share "
         "(default: 1, a single process that fills the plane on first "
         "request)",
-    )
-    serve.add_argument(
-        "--no-prebuild",
-        action="store_true",
-        help="skip the startup scenario build; the first request pays it "
-        "(single-flight: concurrent cold requests share one build; "
-        "--workers N>1 always seals first)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log each request to stderr"

@@ -33,13 +33,12 @@ from repro.obs import get_registry, trace_span
 #: Counter families embedded in the artifact's ``metrics`` section.
 #: Deliberately counters-only and delta-based: every family here counts
 #: deterministic, seed-derived events (quarantined records, retries,
-#: breaker transitions, injected faults, dataset builds), so the chaos
-#: artifact stays byte-identical across runs — timers and gauges carry
-#: wall-clock noise and are excluded.
+#: injected faults, dataset builds), so the chaos artifact stays
+#: byte-identical across runs — timers and gauges carry wall-clock noise
+#: and are excluded.
 _METRIC_PREFIXES = (
     "ingest.",
     "retry.",
-    "breaker.",
     "faults.",
     "scenario.dataset.",
 )

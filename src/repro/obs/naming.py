@@ -29,14 +29,12 @@ SCENARIO_CACHE_PREFIX = "scenario.cache."
 EXEC_WORKER_PREFIX = "exec.worker_"
 SERVE_REQUEST_PREFIX = "serve.request."
 #: Reliability families (see ``docs/RELIABILITY.md``): per-parser
-#: quarantine counters, build retries, the serve circuit breaker, and
-#: injected faults.
+#: quarantine counters, build retries, and injected faults.
 INGEST_PREFIX = "ingest."
 #: The durable ingestion journal (see ``docs/INGEST.md``): appends,
 #: replays, torn-tail truncations, checkpoints.
 WAL_PREFIX = "wal."
 RETRY_PREFIX = "retry."
-BREAKER_PREFIX = "breaker."
 FAULTS_PREFIX = "faults."
 #: Observability-v2 families (see ``docs/OBSERVABILITY.md``): tracing
 #: bookkeeping and the SLO engine behind ``/v1/slo``.

@@ -10,9 +10,8 @@ path.  The pieces, smallest first:
   and the uniform ``{"data": ...}`` / ``{"error": ...}`` JSON envelopes
   with deterministic serialisation and strong ETags.
 * :mod:`repro.serve.pool` -- :class:`ScenarioPool`: one warm
-  :class:`~repro.core.scenario.Scenario` per parameter set shared across
-  request threads, with single-flight deduplication so N concurrent cold
-  requests trigger exactly one ``build_all``.
+  :class:`~repro.core.scenario.Scenario` per parameter set, shared
+  across request threads and built before the server listens.
 * :mod:`repro.serve.artifacts` -- the static response surface (59
   responses), rendered one at a time or sealed whole into an immutable
   :class:`ArtifactStore`; each response is addressed by its SHA-256.
@@ -40,10 +39,8 @@ guidance.
 
 from repro.serve.aio import AioServer, create_aio_server, run_aio, run_workers
 from repro.serve.artifacts import Artifact, ArtifactStore, build_artifact_store
-from repro.serve.breaker import BreakerOpenError, CircuitBreaker
-from repro.serve.deadline import DeadlineExpired, deadline_scope
 from repro.serve.handlers import ServeContext, build_router
-from repro.serve.pool import PoolTimeoutError, ScenarioPool, params_key
+from repro.serve.pool import ScenarioPool
 from repro.serve.router import (
     HTTPError,
     RawResponse,
@@ -60,11 +57,7 @@ __all__ = [
     "AioServer",
     "Artifact",
     "ArtifactStore",
-    "BreakerOpenError",
-    "CircuitBreaker",
-    "DeadlineExpired",
     "HTTPError",
-    "PoolTimeoutError",
     "RawResponse",
     "Route",
     "Router",
@@ -73,12 +66,10 @@ __all__ = [
     "build_artifact_store",
     "build_router",
     "create_aio_server",
-    "deadline_scope",
     "envelope_bytes",
     "error_bytes",
     "etag_for",
     "etag_matches",
-    "params_key",
     "run_aio",
     "run_workers",
     "to_json_bytes",

@@ -12,10 +12,14 @@ wire table) and answers each request one of two ways
 * **Live** -- everything else (``/healthz``, ``/metrics``, ``/v1/slo``,
   ``POST /v1/ingest/<format>``, errors, case-folded paths, a static
   path not rendered yet, traced requests).  Handlers run on a small
-  thread pool under per-request deadlines, max-inflight shedding (503 +
-  ``Retry-After``; health endpoints and plane hits exempt) and the
-  breaker; responses carry ``X-Request-Id`` and ``traceparent`` and are
-  recorded in the SLO window and the access log.
+  thread pool under a per-request deadline and max-inflight shedding
+  (503 + ``Retry-After``; health endpoints and plane hits exempt);
+  responses carry ``X-Request-Id`` and ``traceparent`` and are recorded
+  in the SLO window and the access log.
+
+**The world comes first.**  :meth:`AioServer.start` builds the current
+surface's scenario before it creates the listener, so no request waits
+on a scenario build or sees one fail.
 
 **The plane rule.**  A server given a sealed store serves the whole
 plane from its first request (:func:`create_aio_server` seals one when
@@ -50,7 +54,6 @@ live ones count at once and time each handler run or render into
 from __future__ import annotations
 
 import asyncio
-import math
 import os
 import signal
 import socket
@@ -74,10 +77,7 @@ from repro.obs import (
     write_trace_json,
 )
 from repro.serve.artifacts import Artifact, ArtifactStore, render_artifact
-from repro.serve.breaker import BreakerOpenError
-from repro.serve.deadline import DeadlineExpired, deadline_scope
 from repro.serve.handlers import build_router
-from repro.serve.pool import PoolTimeoutError
 from repro.serve.router import (
     JSON_CONTENT_TYPE,
     HTTPError,
@@ -309,10 +309,13 @@ class _AioProtocol(asyncio.Protocol):
             entry = wire.get(path) if method == b"GET" else None
             lower = headers_blob.lower()
             length = _header_value(headers_blob, lower, b"content-length")
-            wants_close = (
-                version == b"HTTP/1.0"
-                and b"connection: keep-alive" not in lower
-            ) or b"connection: close" in lower
+            wants_close = version == b"HTTP/1.0"
+            if b"connection:" in lower:
+                value = _header_value(headers_blob, lower, b"connection") or ""
+                tokens = {token.strip() for token in value.lower().split(",")}
+                wants_close = "close" in tokens or (
+                    wants_close and "keep-alive" not in tokens
+                )
             rc = None
             if entry is not None and (sample_rate or b"traceparent" in lower):
                 rc = server._request_context(headers_blob, lower)
@@ -550,7 +553,15 @@ class AioServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind (unless given a socket) and start accepting."""
+        """Build the world, then bind (unless given a socket) and accept.
+
+        The current surface's scenario is built before the listener
+        exists, so a build failure raises here and the server never
+        listens.  With ingest enabled, journal recovery has already
+        swapped in the surface whose world this builds.  Nothing else
+        runs on the loop yet, so the build may block it.
+        """
+        self.context.scenario()
         self._loop = asyncio.get_running_loop()
         self._drained = asyncio.Event()
         if self._sock is not None:
@@ -722,10 +733,10 @@ class AioServer:
     ) -> "_Outcome | Artifact":
         """Run the handler (or the plane render) on the thread pool.
 
-        Inside the request's trace context and root span, its endpoint
-        timer and its deadline.  A cacheable route yields an
-        :class:`Artifact` -- *artifact* itself when the plane already
-        holds it, else a fresh render.
+        Inside the request's trace context, root span and endpoint
+        timer; the loop side enforces the deadline.  A cacheable route
+        yields an :class:`Artifact` -- *artifact* itself when the plane
+        already holds it, else a fresh render.
         """
         assert self._loop is not None
         route = request.route
@@ -743,8 +754,7 @@ class AioServer:
                         parent_id=root_parent,
                     ):
                         with registry.timer(f"serve.request.{route.name}").time():
-                            with deadline_scope(deadline):
-                                result = artifact or _render(route, context, request)
+                            result = artifact or _render(route, context, request)
                 finally:
                     self._export_trace(rc)
             if isinstance(result, Artifact):
@@ -771,17 +781,8 @@ class AioServer:
             assert deadline is not None
             return _error(
                 HTTPError(
-                    503, str(DeadlineExpired(deadline)),
+                    503, f"request deadline of {deadline:.1f}s expired",
                     headers={"Retry-After": "1"}, reason="DeadlineExpired",
-                )
-            )
-        except (BreakerOpenError, PoolTimeoutError, DeadlineExpired) as exc:
-            retry_after = max(1, math.ceil(getattr(exc, "retry_after", 1.0)))
-            return _error(
-                HTTPError(
-                    503, str(exc),
-                    headers={"Retry-After": str(retry_after)},
-                    reason=type(exc).__name__,
                 )
             )
         except DatasetDegradedError as err:
@@ -1103,27 +1104,24 @@ def create_aio_server(
     strict: bool = False,
     deadline_seconds: float | None = None,
     max_inflight: int | None = None,
-    breaker=None,
     artifacts: ArtifactStore | None = None,
     context: "ServeContext | None" = None,
     sock: socket.socket | None = None,
 ) -> AioServer:
     """A ready AioServer with its artifact plane sealed (not started).
 
-    Without *artifacts*, seals the whole plane before returning (paying
-    the single-flight scenario build if the pool is cold), so the first
-    request is already static.  Pass a prebuilt *artifacts* (and its
-    *context*) to skip that.  For a server that fills its plane on first
-    request instead, construct :class:`AioServer` without a store.
+    Without *artifacts*, seals the whole plane before returning (building
+    the scenario first if the pool is cold), so the first request is
+    already static.  Pass a prebuilt *artifacts* (and its *context*) to
+    skip that.  For a server that fills its plane on first request
+    instead, construct :class:`AioServer` without a store.
     """
     from repro.serve.artifacts import build_artifact_store
     from repro.serve.handlers import ServeContext
     from repro.serve.pool import ScenarioPool
 
     if context is None:
-        pool = ScenarioPool(
-            cache=cache, build_workers=jobs, strict=strict, breaker=breaker
-        )
+        pool = ScenarioPool(cache=cache, build_workers=jobs, strict=strict)
         context = ServeContext(pool=pool, params=dict(params or {}))
     if artifacts is None:
         artifacts = build_artifact_store(context, workers=jobs)

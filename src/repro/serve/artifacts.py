@@ -251,10 +251,10 @@ def build_artifact_store(
 ) -> ArtifactStore:
     """Materialise the full static response surface for *context*.
 
-    Pays the (single-flight) scenario build if the pool is cold, then
-    renders every static endpoint with :func:`render_artifact` — in
-    parallel on *workers* threads via the executor's
-    :func:`repro.exec.parallel_map` when asked — and seals the result.
+    Builds the scenario first if the pool is cold, then renders every
+    static endpoint with :func:`render_artifact` — in parallel on
+    *workers* threads via the executor's :func:`repro.exec.parallel_map`
+    when asked — and seals the result.
 
     Args:
         context: The server's shared context (pool + scenario params).

@@ -1,8 +1,8 @@
 """Endpoint implementations behind the :mod:`repro.serve` router.
 
 Each handler is a pure function of the shared warm scenario: it fetches
-the world from the :class:`~repro.serve.pool.ScenarioPool` (paying a
-single-flight build only on a cold pool) and returns a JSON payload
+the world from the :class:`~repro.serve.pool.ScenarioPool`, which the
+server filled before it started listening, and returns a JSON payload
 dict.  The server wraps payloads in the ``{"data": ...}`` envelope,
 keeps the rendered bytes in its artifact plane, and stamps ETags —
 handlers never see HTTP.
@@ -56,7 +56,7 @@ class ServeContext:
     ingest: object | None = None
 
     def scenario(self) -> "Scenario":
-        """The shared warm scenario (single-flight build when cold)."""
+        """The shared warm scenario (built on first use)."""
         return self.pool.get(**self.params)
 
 
@@ -126,29 +126,16 @@ def handle_scorecard(ctx: ServeContext, country: str) -> dict:
 
 
 def handle_healthz(ctx: ServeContext) -> dict:
-    """GET /healthz — liveness, pool warmth, and degradation state.
+    """GET /healthz — liveness and degradation state.
 
-    Status ladder (see ``docs/RELIABILITY.md``):
-
-    * ``unhealthy`` — the build circuit breaker is open; scenario
-      requests are being rejected.
-    * ``degraded`` — serving, but some warm scenario carries degraded
-      datasets (or the breaker is probing half-open).
-    * ``ok`` — everything available.
+    ``status`` is ``degraded`` while the served world carries degraded
+    datasets (listed in ``degraded_datasets``; every endpoint keeps
+    serving), else ``ok``.  See ``docs/RELIABILITY.md``.
     """
-    breaker_state = ctx.pool.breaker.state
-    degraded = ctx.pool.degraded_datasets()
-    if breaker_state == "open":
-        status = "unhealthy"
-    elif degraded or breaker_state == "half-open":
-        status = "degraded"
-    else:
-        status = "ok"
+    degraded = [dataset.name for dataset in ctx.scenario().degraded()]
     payload: dict[str, object] = {
-        "status": status,
-        "scenarios_warm": len(ctx.pool),
+        "status": "degraded" if degraded else "ok",
         "exhibits": len(exhibit_ids()),
-        "breaker": breaker_state,
         "slo": ctx.slo.healthz_fields(),
     }
     if degraded:

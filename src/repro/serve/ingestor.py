@@ -18,7 +18,7 @@
 
 One apply covers every batch journaled before it started (folding is
 per-journal, not per-batch), so a burst of submissions coalesces into a
-single rebuild the same way the scenario pool coalesces cold builds.
+single rebuild.
 
 :func:`enable_ingest` wires one up on a server and recovers its journal
 before the server starts serving.

@@ -1,25 +1,18 @@
-"""Shared warm scenarios with single-flight build deduplication.
+"""One warm scenario per parameter set, shared by every request.
 
-A server thread asking for a scenario must never trigger a build that
-another thread is already paying for: with a cold pool and N concurrent
-requests, exactly one thread (the *leader*) constructs and prebuilds the
-``Scenario`` — ``build_all(max_workers=jobs)``, backed by the optional
-persistent :class:`repro.exec.cache.DatasetCache` — while the other N-1
-block on an event and then share the same object.  Each coalesced waiter
-bumps ``serve.inflight.coalesced``; the build itself runs under the
-``serve.pool.build`` timer.
+The first :meth:`ScenarioPool.get` for a parameter set constructs and
+prebuilds its :class:`~repro.core.scenario.Scenario` --
+``build_all(max_workers=build_workers)``, backed by the optional
+persistent :class:`repro.exec.cache.DatasetCache`, under the
+``serve.pool.build`` timer -- and every later call returns the same
+object.  The build runs under the pool's lock, so concurrent callers
+share one build.  A failed build stores nothing: its caller gets the
+exception and the next caller builds again.
 
-A failed build is not cached: the leader publishes the exception to the
-waiters already in flight (they re-raise it), then removes the entry so
-the *next* request elects a fresh leader and retries.
-
-Hardening (see ``docs/RELIABILITY.md``): builds run behind a
-:class:`~repro.serve.breaker.CircuitBreaker` — after enough consecutive
-failures the pool rejects immediately with
-:class:`~repro.serve.breaker.BreakerOpenError` instead of queueing doomed
-builds — and waiters bound their block on the caller's per-request
-deadline (:mod:`repro.serve.deadline`), surfacing
-:class:`PoolTimeoutError` when it expires.
+No request pays that build: :meth:`repro.serve.aio.AioServer.start`
+builds the world before it listens, ``repro serve --workers N`` and
+:func:`repro.serve.aio.create_aio_server` seal it before they serve,
+and an ingest apply seeds its pool with the world it built.
 """
 
 from __future__ import annotations
@@ -28,38 +21,10 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.core.scenario import Scenario
-from repro.obs import get_registry, timed
-from repro.serve import deadline
-from repro.serve.breaker import BreakerOpenError, CircuitBreaker
+from repro.obs import timed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.cache import DatasetCache
-
-
-class PoolTimeoutError(RuntimeError):
-    """A waiter's per-request deadline expired before the build finished."""
-
-    def __init__(self, budget: float):
-        self.budget = budget
-        super().__init__(
-            f"scenario build still in flight after {budget:.1f}s deadline"
-        )
-
-
-def params_key(params: dict[str, object]) -> tuple:
-    """The hashable pool/cache key for one scenario parameter set."""
-    return tuple(sorted(params.items()))
-
-
-class _Entry:
-    """One pool slot: a scenario being built or ready (or failed)."""
-
-    __slots__ = ("ready", "scenario", "error")
-
-    def __init__(self) -> None:
-        self.ready = threading.Event()
-        self.scenario: Scenario | None = None
-        self.error: BaseException | None = None
 
 
 class ScenarioPool:
@@ -73,8 +38,6 @@ class ScenarioPool:
         strict: Scenario strictness for pooled builds.  ``False`` (the
             serving default) lets individual datasets degrade instead of
             failing the whole build; ``True`` restores fail-fast.
-        breaker: The circuit breaker guarding builds; a default-config
-            :class:`CircuitBreaker` unless the caller passes one.
     """
 
     def __init__(
@@ -82,110 +45,31 @@ class ScenarioPool:
         cache: "DatasetCache | None" = None,
         build_workers: int = 1,
         strict: bool = False,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.cache = cache
         self.build_workers = build_workers
         self.strict = strict
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._lock = threading.Lock()
-        self._entries: dict[tuple, _Entry] = {}
-
-    def __len__(self) -> int:
-        """Scenarios currently warm (ready and not failed)."""
-        with self._lock:
-            return sum(
-                1
-                for entry in self._entries.values()
-                if entry.ready.is_set() and entry.error is None
-            )
+        self._scenarios: dict[tuple, Scenario] = {}
 
     def seed(self, scenario: Scenario, **params: object) -> None:
         """Register an already-built scenario as warm for *params*.
 
-        Lets the CLI (and tests) hand the pool a prebuilt world instead
-        of paying a second build for the same parameter set.
+        Lets an ingest apply (and tests) hand the pool a prebuilt world
+        instead of paying a second build for the same parameter set.
         """
-        entry = _Entry()
-        entry.scenario = scenario
-        entry.ready.set()
         with self._lock:
-            self._entries[params_key(dict(params))] = entry
-        self._update_warm_gauge()
+            self._scenarios[tuple(sorted(params.items()))] = scenario
 
     def get(self, **params: object) -> Scenario:
-        """The warm scenario for *params*, building it at most once.
-
-        Concurrent callers for the same key coalesce onto one build;
-        callers for different keys build independently.
-        """
-        key = params_key(dict(params))
+        """The warm scenario for *params*, building it on first use."""
+        key = tuple(sorted(params.items()))
         with self._lock:
-            entry = self._entries.get(key)
-            leader = entry is None
-            if leader:
-                entry = self._entries[key] = _Entry()
-
-        if leader:
-            try:
-                self.breaker.acquire()
-            except BreakerOpenError as exc:
-                self._abandon(key, entry, exc)
-                raise
-            try:
-                scenario = timed(
-                    "serve.pool.build", lambda: self._build(dict(params))
-                )
-            except BaseException as exc:
-                self.breaker.record_failure()
-                self._abandon(key, entry, exc)
-                raise
-            self.breaker.record_success()
-            entry.scenario = scenario
-            entry.ready.set()
-            self._update_warm_gauge()
+            scenario = self._scenarios.get(key)
+            if scenario is None:
+                scenario = timed("serve.pool.build", lambda: self._build(params))
+                self._scenarios[key] = scenario
             return scenario
-
-        if not entry.ready.is_set():
-            get_registry().counter("serve.inflight.coalesced").inc()
-            budget = deadline.remaining()
-            if not entry.ready.wait(timeout=budget):
-                assert budget is not None
-                get_registry().counter("serve.deadline.expired").inc()
-                raise PoolTimeoutError(budget)
-        if entry.error is not None:
-            raise entry.error
-        assert entry.scenario is not None
-        return entry.scenario
-
-    def _abandon(self, key: tuple, entry: _Entry, exc: BaseException) -> None:
-        """Publish *exc* to in-flight waiters, then drop the entry.
-
-        Only a fresh leader may retry; the poisoned entry is removed
-        unless someone already replaced it.
-        """
-        entry.error = exc
-        entry.ready.set()
-        with self._lock:
-            if self._entries.get(key) is entry:
-                del self._entries[key]
-
-    def _update_warm_gauge(self) -> None:
-        """Publish warm-scenario count (``serve.pool.warm``) for dashboards."""
-        get_registry().gauge("serve.pool.warm").set(len(self))
-
-    def degraded_datasets(self) -> list[str]:
-        """Dataset names degraded in any warm scenario (sorted, unique)."""
-        with self._lock:
-            warm = [
-                entry.scenario
-                for entry in self._entries.values()
-                if entry.ready.is_set() and entry.scenario is not None
-            ]
-        names: set[str] = set()
-        for scenario in warm:
-            names.update(d.name for d in scenario.degraded())
-        return sorted(names)
 
     def _build(self, params: dict[str, object]) -> Scenario:
         scenario = Scenario(

@@ -12,6 +12,9 @@ The CLI defaults to the persistent dataset cache under
 previous run's entries or writes into the developer's real cache.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 import repro.obs
@@ -38,3 +41,19 @@ def isolated_cache_dir(tmp_path, monkeypatch):
     """Point the default dataset cache at a fresh per-test directory."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
     return tmp_path / "xdg-cache" / "repro"
+
+
+def open_files_under(directory: Path) -> list[Path]:
+    """Paths under *directory* this process holds open (Linux /proc)."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    opened = []
+    for fd in fds.iterdir():
+        try:
+            target = Path(os.readlink(fd))
+        except OSError:  # closed since the listing
+            continue
+        if target.is_relative_to(directory):
+            opened.append(target)
+    return opened

@@ -379,3 +379,41 @@ def test_serve_ingest_needs_a_single_process(capsys, tmp_path):
     assert code == 2
     assert "--ingest-dir needs a single process" in capsys.readouterr().err
     assert not (tmp_path / "wal").exists()
+
+
+@pytest.mark.parametrize(
+    "batch, code", [("good", 0), ("{broken", 2)], ids=["journaled", "rejected"]
+)
+def test_ingest_closes_its_journal(capsys, tmp_path, batch, code):
+    # Journaled or rejected, the command closes the journal itself: no
+    # descriptor stays open under the WAL directory once it returns, and
+    # none is left for the garbage collector to close (which would warn).
+    import datetime as dt
+    import gc
+    import warnings
+
+    from repro.mlab.ndt import NDTResult
+    from tests.conftest import open_files_under
+
+    if batch == "good":
+        batch = NDTResult(
+            date=dt.date(2023, 7, 5),
+            country="VE",
+            asn=8048,
+            download_mbps=3.5,
+            upload_mbps=1.2,
+            min_rtt_ms=48.0,
+            loss_rate=0.02,
+        ).to_json()
+    batch_file = tmp_path / "batch.jsonl"
+    batch_file.write_text(batch + "\n")
+    wal_dir = tmp_path / "wal"
+    argv = ["--no-cache", "ingest", "ndt", str(batch_file), "--wal-dir", str(wal_dir)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(argv) == code
+        gc.collect()
+    assert ("journaled seq 1" in capsys.readouterr().err) == (code == 0)
+    assert open_files_under(wal_dir.resolve()) == []
+    unclosed = [str(w.message) for w in caught if str(wal_dir) in str(w.message)]
+    assert unclosed == []

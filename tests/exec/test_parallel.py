@@ -15,7 +15,13 @@ from repro.core import Scenario
 from repro.core.report import render_report
 from repro.core.scenario import dataset_names
 from repro.exec import DatasetCache, build_parallel
-from repro.obs import enable_tracing, get_registry, get_tracer
+from repro.obs import (
+    enable_tracing,
+    get_registry,
+    get_tracer,
+    start_request_context,
+    use_context,
+)
 
 SMALL = dict(ndt_tests_per_month=1, gpdns_samples_per_month=1)
 
@@ -98,6 +104,41 @@ def test_parallel_records_span_and_worker_timers():
     ]
     assert worker_timers, "per-worker busy timers must be recorded"
     assert sum(t.count for t in worker_timers) == 16
+
+
+def test_build_spans_on_executor_threads_join_the_callers_trace():
+    # A sampled request context builds a world on two executor threads:
+    # contextvars do not cross into the pool, yet every dataset-build
+    # span must chain through the parallel umbrella to the caller's root.
+    rc = start_request_context(sample_rate=1.0)
+    with use_context(rc):
+        root = get_tracer().span(
+            "serve.request.report", span_id=rc.span_id, parent_id=None
+        )
+        with root:
+            Scenario(**SMALL).build_all(max_workers=2)
+    spans = get_tracer().take_trace(rc.trace_id)
+    by_id = {span.span_id: span for span in spans}
+    builds = [
+        span
+        for span in spans
+        if span.name.startswith("scenario.build.")
+        and span.name != "scenario.build.parallel"
+    ]
+    assert len(builds) == 16  # one per dataset
+
+    def ancestors(span):
+        chain = []
+        while span.parent_id is not None:
+            span = by_id[span.parent_id]
+            chain.append(span.name)
+        return chain
+
+    for span in builds:
+        chain = ancestors(span)
+        assert "scenario.build.parallel" in chain
+        assert chain[-1] == "serve.request.report"
+    assert len({span.thread for span in builds}) > 1  # really crossed threads
 
 
 def test_parallel_build_with_warm_cache_builds_nothing(tmp_path):

@@ -78,7 +78,7 @@ def test_artifact_embeds_deterministic_metrics(report):
     assert any(name.startswith("ingest.") for name in metrics)
     assert all(isinstance(value, int) and value > 0 for value in metrics.values())
     # only the deterministic counter families are embedded
-    allowed = ("ingest.", "retry.", "breaker.", "faults.", "scenario.dataset.")
+    allowed = ("ingest.", "retry.", "faults.", "scenario.dataset.")
     assert all(name.startswith(allowed) for name in metrics)
 
 

@@ -28,13 +28,23 @@ def _lines(day=5, country="VE", n=2):
     ]
 
 
-def _service(tmp_path, **kwargs):
-    kwargs.setdefault("fsync", False)
-    return IngestService(tmp_path / "wal", **kwargs)
+@pytest.fixture
+def open_service(tmp_path):
+    """Factory for services over one journal; closes each at teardown."""
+    services = []
+
+    def make(**kwargs):
+        kwargs.setdefault("fsync", False)
+        services.append(IngestService(tmp_path / "wal", **kwargs))
+        return services[-1]
+
+    yield make
+    for service in services:
+        service.wal.close()
 
 
-def test_submit_acks_with_receipt(tmp_path):
-    service = _service(tmp_path)
+def test_submit_acks_with_receipt(open_service):
+    service = open_service()
     receipt = service.submit("ndt", _lines())
     assert receipt.seq == 1
     assert not receipt.duplicate
@@ -45,8 +55,8 @@ def test_submit_acks_with_receipt(tmp_path):
     assert service.status()["journaled"] == 1
 
 
-def test_duplicate_submit_is_idempotent(tmp_path):
-    service = _service(tmp_path)
+def test_duplicate_submit_is_idempotent(open_service):
+    service = open_service()
     first = service.submit("ndt", _lines())
     again = service.submit("ndt", _lines())
     assert again.duplicate
@@ -54,13 +64,13 @@ def test_duplicate_submit_is_idempotent(tmp_path):
     assert service.wal.last_seq == 1
 
 
-def test_unknown_format_raises_key_error(tmp_path):
+def test_unknown_format_raises_key_error(open_service):
     with pytest.raises(KeyError):
-        _service(tmp_path).submit("bgp", ["x"])
+        open_service().submit("bgp", ["x"])
 
 
-def test_invalid_batch_raises_validation_error(tmp_path):
-    service = _service(tmp_path, strict=True)
+def test_invalid_batch_raises_validation_error(open_service):
+    service = open_service(strict=True)
     with pytest.raises(IngestValidationError):
         service.submit("ndt", ["{broken"])
     with pytest.raises(IngestValidationError):
@@ -69,8 +79,8 @@ def test_invalid_batch_raises_validation_error(tmp_path):
     assert service.wal.last_seq == 0  # nothing journaled
 
 
-def test_backlog_bound_rejects_new_batches(tmp_path):
-    service = _service(tmp_path, max_backlog=1)
+def test_backlog_bound_rejects_new_batches(open_service):
+    service = open_service(max_backlog=1)
     service.submit("ndt", _lines(day=1))
     with pytest.raises(IngestBacklogError) as info:
         service.submit("ndt", _lines(day=10))
@@ -78,23 +88,23 @@ def test_backlog_bound_rejects_new_batches(tmp_path):
     assert get_registry().counter("ingest.rejected.backlog").value == 1
 
 
-def test_duplicate_retry_re_acked_even_at_full_backlog(tmp_path):
-    service = _service(tmp_path, max_backlog=1)
+def test_duplicate_retry_re_acked_even_at_full_backlog(open_service):
+    service = open_service(max_backlog=1)
     first = service.submit("ndt", _lines())
     again = service.submit("ndt", _lines())  # retry after a lost ack
     assert again.duplicate
     assert again.seq == first.seq
 
 
-def test_recovery_restores_journal_and_checkpoint(tmp_path):
-    service = _service(tmp_path)
+def test_recovery_restores_journal_and_checkpoint(open_service):
+    service = open_service()
     service.submit("ndt", _lines(day=1))
     service.submit("ndt", _lines(day=10))
     service.mark_applied(2, {"artifacts": "abc"})
     service.submit("ndt", _lines(day=20))
     service.wal.close()
 
-    recovered = _service(tmp_path)
+    recovered = open_service()
     assert recovered.wal.last_seq == 3
     assert recovered.applied_seq == 2
     assert recovered.backlog() == 1
@@ -104,8 +114,8 @@ def test_recovery_restores_journal_and_checkpoint(tmp_path):
     assert len(lines) == 6
 
 
-def test_overlay_matches_submissions(tmp_path):
-    service = _service(tmp_path)
+def test_overlay_matches_submissions(open_service):
+    service = open_service()
     service.submit("ndt", _lines(country="VE"))
     service.submit("ndt", _lines(country="BR"))
     overlay = service.overlay()

@@ -43,6 +43,7 @@ def test_duplicate_content_is_a_no_op(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal")
     first = wal.append("ndt", _lines(3))
     again = wal.append("ndt", _lines(3))
+    wal.close()
     assert again.duplicate
     assert again.seq == first.seq
     assert wal.last_seq == 1
@@ -58,6 +59,7 @@ def test_dedupe_survives_reopen(tmp_path):
     wal.close()
     reopened = WriteAheadLog(tmp_path / "wal")
     again = reopened.append("ndt", _lines(3))
+    reopened.close()
     assert again.duplicate
     assert again.seq == original.seq
     assert reopened.seq_for(idempotency_key("ndt", _lines(3))) == original.seq
@@ -88,6 +90,7 @@ def test_append_continues_after_rotation_and_reopen(tmp_path):
     wal.close()
     reopened = WriteAheadLog(tmp_path / "wal", max_segment_bytes=256)
     result = reopened.append("ndt", [json.dumps({"i": "late"})])
+    reopened.close()
     assert result.seq == 7
     records, _ = WriteAheadLog(tmp_path / "wal").replay()
     assert [r.seq for r in records] == list(range(1, 8))
@@ -139,6 +142,7 @@ def test_damaged_checkpoint_reads_as_none(tmp_path):
 def test_append_counters(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal")
     wal.append("ndt", _lines(2))
+    wal.close()
     registry = get_registry()
     assert registry.counter("wal.appends").value == 1
     assert registry.counter("wal.bytes").value > 0

@@ -1,8 +1,8 @@
 """The reliability metric families land in the repro.obs/1 artifact.
 
 The export layer is name-agnostic, so these tests drive the *real* code
-paths (retry loop, breaker, lenient parse, fault plan, degradation) and
-assert the resulting instruments serialise into the artifact under their
+paths (retry loop, lenient parse, fault plan, degradation) and assert
+the resulting instruments serialise into the artifact under their
 documented names — the contract ``--metrics-json`` consumers and the CI
 chaos job rely on.
 """
@@ -14,7 +14,6 @@ from repro.faults import FaultPlan
 from repro.ingest import ErrorBudget, ErrorBudgetExceeded, Quarantine
 from repro.obs import get_registry, metrics_from_json, metrics_to_json
 from repro.obs.naming import validate_name
-from repro.serve import CircuitBreaker
 
 SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
@@ -23,9 +22,6 @@ RELIABILITY_COUNTERS = (
     "faults.injected",
     "retry.attempts",
     "retry.giveups",
-    "breaker.opened",
-    "breaker.rejected",
-    "breaker.probes",
     "ingest.budget_exceeded",
     "scenario.dataset.degraded",
     "exhibit.degraded",
@@ -61,19 +57,6 @@ def test_ingest_retry_and_degradation_metrics_reach_the_artifact():
     assert counters["ingest.quarantined.bgp.asrel"] == 1
     assert counters["ingest.budget_exceeded"] == 1
     assert doc["metrics"]["timers"]["retry.sleep"]["count"] == 2
-
-
-def test_breaker_metrics_reach_the_artifact():
-    breaker = CircuitBreaker(failure_threshold=1, recovery_time=60.0)
-    breaker.record_failure()
-    with pytest.raises(Exception):
-        breaker.acquire()
-
-    doc = metrics_from_json(metrics_to_json())
-    counters = doc["metrics"]["counters"]
-    assert counters["breaker.opened"] == 1
-    assert counters["breaker.rejected"] == 1
-    assert doc["metrics"]["gauges"]["breaker.state"] == 2  # open
 
 
 def test_stats_command_snapshot_includes_reliability_families(capsys):

@@ -66,7 +66,7 @@ def seeded_context(scenario, params=None) -> ServeContext:
     """A fresh pool holding the session scenario, serving *params*.
 
     With *params* other than the defaults the pool is cold for them, so
-    the first request pays a (single-flight) build.
+    a server over it builds that world when it starts.
     """
     pool = ScenarioPool()
     pool.seed(scenario)

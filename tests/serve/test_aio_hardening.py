@@ -184,6 +184,9 @@ def test_deadline_maps_to_503(aio_served):
     response = connection.getresponse()
     assert response.status == 503
     assert response.getheader("Retry-After") is not None
-    assert b"DeadlineExpired" in response.read()
+    assert response.read() == (
+        b'{"error":{"message":"request deadline of 0.2s expired",'
+        b'"reason":"DeadlineExpired","status":503}}\n'
+    )
     connection.close()
     assert get_registry().counter("serve.deadline.expired").value >= 1

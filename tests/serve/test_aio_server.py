@@ -11,6 +11,9 @@ import hashlib
 import http.client
 import json
 import signal
+import socket
+
+import pytest
 
 from repro.core.exhibit import exhibit_catalog
 from repro.serve.artifacts import static_surface
@@ -111,13 +114,61 @@ def test_error_envelopes(aio_served):
 
 
 def test_malformed_request_line_is_a_400(aio_served):
-    import socket
-
     server = aio_served()
     with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
         sock.sendall(b"NONSENSE\r\n\r\n")
         response = sock.recv(65536)
     assert b"400 Bad Request" in response
+
+
+def _read_response(sock, buf=b""):
+    """One whole response off *sock*: (status line, rest of the buffer)."""
+
+    def more():
+        chunk = sock.recv(65536)
+        assert chunk, "the server closed the connection"
+        return chunk
+
+    while b"\r\n\r\n" not in buf:
+        buf += more()
+    head, _, buf = buf.partition(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+    while len(buf) < length:
+        buf += more()
+    return head.split(b"\r\n")[0], buf[length:]
+
+
+@pytest.mark.parametrize(
+    "path", ["/v1/exhibits", "/healthz"], ids=["static", "live"]
+)
+@pytest.mark.parametrize(
+    "version, header, closes",
+    [
+        (b"HTTP/1.1", b"Connection:close", True),
+        (b"HTTP/1.1", b"Connection:  close", True),
+        (b"HTTP/1.1", b"connection: TE, Close", True),
+        (b"HTTP/1.0", b"Connection:keep-alive", False),
+    ],
+    ids=["no-space", "two-spaces", "token-list", "http10-keep-alive"],
+)
+def test_connection_header_is_read_by_token(
+    aio_served, path, version, header, closes
+):
+    # However the Connection header is spaced or cased, "close" closes
+    # the socket after the response and HTTP/1.0 "keep-alive" keeps it.
+    server = aio_served()
+    request = b"GET %s %s\r\nHost: t\r\n%s\r\n\r\n" % (
+        path.encode(), version, header
+    )
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(request)
+        status, rest = _read_response(sock)
+        assert status.endswith(b" 200 OK")
+        if closes:
+            assert rest + sock.recv(65536) == b""  # EOF, within the timeout
+        else:
+            sock.sendall(request)
+            assert _read_response(sock, rest)[0].endswith(b" 200 OK")
 
 
 # -- the golden plane --------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Serve hardening: error envelopes, shedding, deadlines, breaker, health.
+"""Serve hardening: error envelopes, shedding, deadlines, health.
 
 These tests use throwaway single-process servers (the ``served``
-factory) with a tiny scenario parameter set or a pool seeded with the
-session scenario, so nothing here pays a full-size build.
+factory) over a pool seeded with the session scenario or a tiny
+scenario, so nothing here pays a full-size build.
 """
 
 import json
@@ -11,21 +11,10 @@ import time
 import urllib.error
 import urllib.request
 
-import pytest
-
 from repro.core import Scenario
 from repro.faults import FaultPlan
 from repro.obs import get_registry
-from repro.serve import (
-    BreakerOpenError,
-    CircuitBreaker,
-    DeadlineExpired,
-    PoolTimeoutError,
-    ScenarioPool,
-    deadline_scope,
-    handlers,
-)
-from repro.serve.deadline import check, remaining
+from repro.serve import ScenarioPool, ServeContext, handlers
 
 SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
@@ -95,32 +84,20 @@ def test_healthz_reports_degraded_while_report_still_serves(served):
         **SMALL,
     )
     degraded_world.build_all()
-    server = served(params=SMALL)
-    server.context.pool.seed(degraded_world, **SMALL)
+    pool = ScenarioPool()
+    pool.seed(degraded_world, **SMALL)
+    server = served(context=ServeContext(pool=pool, params=dict(SMALL)))
 
     status, _, body = _get(server, "/healthz")
     assert status == 200
     doc = json.loads(body)["data"]
     assert doc["status"] == "degraded"
     assert doc["degraded_datasets"] == ["cables"]
-    assert doc["breaker"] == "closed"
 
     status, _, body = _get(server, "/v1/report")
     assert status == 200
     report = json.loads(body)["data"]["report"]
     assert "COVERAGE: 15/16 datasets available" in report
-
-
-def test_healthz_unhealthy_when_breaker_open(served):
-    server = served()
-    breaker = server.context.pool.breaker
-    for _ in range(breaker.failure_threshold):
-        breaker.record_failure()
-    status, _, body = _get(server, "/healthz")
-    assert status == 200
-    doc = json.loads(body)["data"]
-    assert doc["status"] == "unhealthy"
-    assert doc["breaker"] == "open"
 
 
 # -- load shedding ------------------------------------------------------------
@@ -168,120 +145,6 @@ def test_unsaturated_server_does_not_shed(served):
 
 
 # -- deadlines ----------------------------------------------------------------
-
-
-def test_deadline_scope_remaining_and_check():
-    assert remaining() is None
-    with deadline_scope(30.0):
-        budget = remaining()
-        assert budget is not None and 0 < budget <= 30.0
-        check()  # far from expiry: no raise
-    assert remaining() is None
-
-
-def test_expired_deadline_raises_and_counts():
-    with deadline_scope(0.0):
-        with pytest.raises(DeadlineExpired):
-            check()
-    assert get_registry().counter("serve.deadline.expired").value == 1
-
-
-def test_pool_waiter_times_out_on_its_deadline(monkeypatch):
-    pool = ScenarioPool()
-    release = threading.Event()
-    building = threading.Event()
-
-    def slow_build(params):
-        building.set()
-        release.wait(timeout=30)
-        return Scenario(**params)
-
-    monkeypatch.setattr(pool, "_build", slow_build)
-    leader = threading.Thread(target=lambda: pool.get(**SMALL))
-    leader.start()
-    try:
-        assert building.wait(timeout=10)
-        with deadline_scope(0.05):
-            with pytest.raises(PoolTimeoutError):
-                pool.get(**SMALL)
-        assert get_registry().counter("serve.deadline.expired").value == 1
-    finally:
-        release.set()
-        leader.join(timeout=30)
-
-
-# -- circuit breaker over the pool --------------------------------------------
-
-
-def _failing_pool(threshold=1):
-    pool = ScenarioPool(breaker=CircuitBreaker(failure_threshold=threshold))
-    pool._build = lambda params: (_ for _ in ()).throw(OSError("generator broken"))
-    return pool
-
-
-def test_pool_failures_open_the_breaker():
-    pool = _failing_pool(threshold=2)
-    for _ in range(2):
-        with pytest.raises(OSError):
-            pool.get(**SMALL)
-    assert pool.breaker.state == "open"
-    with pytest.raises(BreakerOpenError):
-        pool.get(**SMALL)
-    assert get_registry().counter("breaker.opened").value == 1
-    assert get_registry().counter("breaker.rejected").value == 1
-
-
-def test_eight_threads_against_an_open_pool_never_deadlock():
-    # The satellite regression: eight concurrent requests racing a pool
-    # whose breaker is open must all fail fast — no thread may wedge on
-    # a build that will never be attempted.
-    pool = _failing_pool(threshold=1)
-    with pytest.raises(OSError):
-        pool.get(**SMALL)
-    assert pool.breaker.state == "open"
-
-    barrier = threading.Barrier(8)
-    outcomes = []
-    lock = threading.Lock()
-
-    def worker():
-        barrier.wait()
-        try:
-            pool.get(**SMALL)
-            outcome = "scenario"
-        except BreakerOpenError:
-            outcome = "breaker-open"
-        except OSError:
-            outcome = "build-error"
-        with lock:
-            outcomes.append(outcome)
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads), "a thread deadlocked"
-    assert len(outcomes) == 8
-    # Nobody got a scenario, and at least the non-leader threads were
-    # rejected by the breaker without touching the build path.
-    assert "scenario" not in outcomes
-    assert outcomes.count("breaker-open") >= 7
-
-
-def test_breaker_open_surfaces_as_503_with_retry_after(served):
-    # The server's params point at a *cold* slot, so the request must go
-    # through the pool and hit the open breaker end-to-end.
-    server = served(params=SMALL)
-    breaker = server.context.pool.breaker
-    for _ in range(breaker.failure_threshold):
-        breaker.record_failure()
-    status, headers, body = _get(server, "/v1/exhibit/fig01")
-    assert status == 503
-    assert int(headers["Retry-After"]) >= 1
-    doc = json.loads(body)
-    assert doc["error"]["reason"] == "BreakerOpenError"
-    assert "circuit breaker open" in doc["error"]["message"]
 
 
 def test_render_past_its_deadline_still_fills_the_plane(served, monkeypatch):

@@ -2,11 +2,9 @@
 
 import datetime as dt
 import json
-import os
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import pytest
 
@@ -14,6 +12,7 @@ from repro.mlab.ndt import NDTResult
 from repro.serve import ScenarioPool, ServeContext
 from repro.serve.aio import AioServer
 from repro.serve.ingestor import enable_ingest
+from tests.conftest import open_files_under
 from tests.serve.conftest import boot
 
 SMALL = {"ndt_tests_per_month": 2, "gpdns_samples_per_month": 1}
@@ -53,26 +52,25 @@ def _payload(n=3, country="VE"):
     return "\n".join(lines).encode()
 
 
-def _server(ingest_dir=None, prebuild=False, max_backlog=None):
+def _server(ingest_dir=None, max_backlog=None):
     """A single-process server over SMALL, with ingest when *ingest_dir*.
 
     Ingest is enabled (and its journal recovered) before the server
-    starts serving, as ``repro serve --ingest-dir`` does.  Returns the
-    server and its drain-and-join.
+    starts, as ``repro serve --ingest-dir`` does; the server then builds
+    its world before it listens.  Returns the server and its
+    drain-and-join.
     """
     server = AioServer(
         ServeContext(pool=ScenarioPool(), params=dict(SMALL))
     )
     if ingest_dir is not None:
         enable_ingest(server, ingest_dir, max_backlog=max_backlog)
-    if prebuild:
-        server.context.scenario()
     return server, boot(server)
 
 
 @pytest.fixture()
 def ingest_server(tmp_path):
-    server, stop = _server(tmp_path / "wal", prebuild=True)
+    server, stop = _server(tmp_path / "wal")
     yield server
     stop()
 
@@ -171,7 +169,7 @@ def test_ingest_backpressure_429(tmp_path):
 
 def test_recovery_from_journal_on_startup(tmp_path):
     wal_dir = tmp_path / "wal"
-    server, stop = _server(wal_dir, prebuild=True)
+    server, stop = _server(wal_dir)
     try:
         status, _, _ = _post(server, "/v1/ingest/ndt", _payload())
         assert status == 200
@@ -224,22 +222,6 @@ def test_body_split_across_writes_then_pipelined_request(tmp_path):
     assert b'"journaled":0' in second
 
 
-def _open_files_under(directory):
-    """Paths under *directory* this process holds open (Linux /proc)."""
-    fds = Path("/proc/self/fd")
-    if not fds.is_dir():
-        pytest.skip("needs /proc/self/fd")
-    opened = []
-    for fd in fds.iterdir():
-        try:
-            target = Path(os.readlink(fd))
-        except OSError:  # closed since the listing
-            continue
-        if target.is_relative_to(directory):
-            opened.append(target)
-    return opened
-
-
 def test_drained_server_closes_its_journal(tmp_path):
     # Drain joins the apply thread, then closes the journal's open
     # segment: nothing under the ingest directory stays open.
@@ -247,7 +229,7 @@ def test_drained_server_closes_its_journal(tmp_path):
     server, stop = _server(wal_dir)
     status, _, _ = _post(server, "/v1/ingest/ndt", _payload())
     assert status == 200
-    assert _open_files_under(wal_dir.resolve())  # the segment, while serving
+    assert open_files_under(wal_dir.resolve())  # the segment, while serving
     stop()
     assert server.context.ingest.service.applied_seq == 1  # the apply finished
-    assert _open_files_under(wal_dir.resolve()) == []
+    assert open_files_under(wal_dir.resolve()) == []

@@ -1,25 +1,20 @@
-"""ScenarioPool: single-flight builds, seeding, and failure retry."""
+"""ScenarioPool: one build per parameter set, seeding, and failure retry."""
 
 import threading
 
 import pytest
 
 from repro.obs import get_registry
-from repro.serve.pool import ScenarioPool, params_key
+from repro.serve.pool import ScenarioPool
 
 #: Small world: keeps the pool's one real build in this module cheap.
 SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
 
-def test_params_key_is_order_insensitive():
-    assert params_key({"a": 1, "b": 2}) == params_key({"b": 2, "a": 1})
-    assert params_key({"a": 1}) != params_key({"a": 2})
-
-
 def test_eight_concurrent_cold_gets_build_exactly_once():
-    # The single-flight contract: one leader builds, everyone else
-    # coalesces onto its result.  The barrier releases all eight threads
-    # together while the build takes >1s, so exactly seven must wait.
+    # One build per parameter set: the barrier releases all eight
+    # threads together while the build takes >1s, and all eight get the
+    # one scenario the pool built.
     pool = ScenarioPool()
     barrier = threading.Barrier(8)
     scenarios = []
@@ -42,9 +37,7 @@ def test_eight_concurrent_cold_gets_build_exactly_once():
     registry = get_registry()
     # Exactly one build burst: every dataset generated exactly once.
     assert registry.counter("scenario.dataset.built").value == 16
-    assert registry.counter("serve.inflight.coalesced").value == 7
     assert registry.timer("serve.pool.build").count == 1
-    assert len(pool) == 1
 
 
 def test_warm_get_returns_same_object_without_rebuilding(scenario):
@@ -54,15 +47,15 @@ def test_warm_get_returns_same_object_without_rebuilding(scenario):
     assert pool.get() is scenario
     assert pool.get() is scenario
     assert registry.counter("scenario.dataset.built").value == 0
-    assert registry.counter("serve.inflight.coalesced").value == 0
 
 
 def test_distinct_param_sets_get_distinct_slots(scenario):
     pool = ScenarioPool()
     pool.seed(scenario)
     pool.seed(scenario, ndt_tests_per_month=7)
-    assert len(pool) == 2
     assert pool.get(ndt_tests_per_month=7) is scenario
+    assert pool.get() is scenario
+    assert get_registry().timer("serve.pool.build").count == 0
 
 
 def test_failed_build_is_retried_by_the_next_caller(monkeypatch):
@@ -78,45 +71,5 @@ def test_failed_build_is_retried_by_the_next_caller(monkeypatch):
     monkeypatch.setattr(pool, "_build", flaky)
     with pytest.raises(RuntimeError, match="boom"):
         pool.get(**SMALL)
-    assert len(pool) == 0  # the poisoned entry is gone
-    assert pool.get(**SMALL) == "rebuilt"
+    assert pool.get(**SMALL) == "rebuilt"  # the failure stored nothing
     assert calls["n"] == 2
-
-
-def test_waiters_see_the_leaders_failure(monkeypatch):
-    # A waiter coalesced onto a failing build must get the exception,
-    # not hang or receive None.
-    pool = ScenarioPool()
-    entered = threading.Event()
-    release = threading.Event()
-
-    def failing(params):
-        entered.set()
-        release.wait(timeout=5)
-        raise RuntimeError("leader failed")
-
-    monkeypatch.setattr(pool, "_build", failing)
-    errors = []
-
-    def leader():
-        try:
-            pool.get(**SMALL)
-        except RuntimeError as exc:
-            errors.append(exc)
-
-    def waiter():
-        entered.wait(timeout=5)
-        try:
-            pool.get(**SMALL)
-        except RuntimeError as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=leader), threading.Thread(target=waiter)]
-    for t in threads:
-        t.start()
-    entered.wait(timeout=5)
-    release.set()
-    for t in threads:
-        t.join(timeout=10)
-    assert len(errors) == 2
-    assert all("leader failed" in str(e) for e in errors)

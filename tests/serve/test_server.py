@@ -1,14 +1,15 @@
 """End-to-end HTTP tests: envelopes, the lazy plane, ETags, concurrency, shutdown.
 
-These run against single-process servers, which fill their artifact
-plane as each static path is first requested.  The module-scoped
-``warm_server`` is seeded with the session scenario, so these tests
-exercise the full network stack without paying extra scenario builds.
-Tests that count or race first renders take a fresh server from the
-``served`` factory; cold-path behaviour (single-flight coalescing,
-drain on shutdown) uses a small parameter set.
+These run against single-process servers, which build their world
+before they listen and fill their artifact plane as each static path is
+first requested.  The module-scoped ``warm_server`` is seeded with the
+session scenario, so these tests exercise the full network stack without
+paying extra scenario builds.  Tests that count or race first renders
+take a fresh server from the ``served`` factory; the boot-time build and
+drain on shutdown use a small parameter set.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core.report import render_report
 from repro.obs import get_registry
-from repro.serve import handlers
+from repro.serve import ScenarioPool, ServeContext, handlers
 from repro.serve.aio import AioServer
 from tests.serve.conftest import boot, seeded_context, wait_for_counter
 
@@ -50,10 +51,10 @@ def warm_server(scenario):
 def test_healthz(warm_server):
     status, _, body = _get(warm_server, "/healthz")
     assert status == 200
-    doc = json.loads(body)
-    assert doc["data"]["status"] == "ok"
-    assert doc["data"]["exhibits"] == 23
-    assert doc["data"]["scenarios_warm"] == 1
+    data = json.loads(body)["data"]
+    assert set(data) == {"status", "exhibits", "slo"}
+    assert data["status"] == "ok"
+    assert data["exhibits"] == 23
 
 
 def test_exhibits_listing_matches_cli_catalog(warm_server):
@@ -254,10 +255,14 @@ def test_concurrent_requests_are_byte_identical(served):
     assert len({etag for _, etag, _ in results}) == 1
 
 
-def test_cold_burst_triggers_exactly_one_scenario_build(served):
-    # Eight concurrent first requests against a cold server: the pool's
-    # single-flight must fold them onto one build (16 datasets, once).
+def test_server_builds_its_world_before_it_listens(served):
+    # The cold SMALL world is built by start(), before the listener
+    # exists: by the time the server accepts, the build is done, and
+    # eight concurrent first requests build nothing more.
     server = served(params=SMALL)
+    registry = get_registry()
+    assert registry.timer("serve.pool.build").count == 1
+    assert registry.counter("scenario.dataset.built").value == 16
     barrier = threading.Barrier(8)
     results = []
     lock = threading.Lock()
@@ -276,32 +281,49 @@ def test_cold_burst_triggers_exactly_one_scenario_build(served):
 
     assert {status for status, _ in results} == {200}
     assert len({body for _, body in results}) == 1
-    registry = get_registry()
-    assert registry.counter("scenario.dataset.built").value == 16
     assert registry.timer("serve.pool.build").count == 1
-    assert registry.counter("serve.inflight.coalesced").value >= 1
+    assert registry.counter("scenario.dataset.built").value == 16
 
 
-def test_graceful_shutdown_drains_inflight_requests(scenario):
+def test_failed_world_build_keeps_the_server_from_listening(monkeypatch):
+    # A strict build that raises fails start() itself: the server never
+    # creates its listener, so no request can meet the broken world.
+    def broken():
+        raise OSError("generator broken")
+
+    monkeypatch.setattr("repro.core.scenario.synthesize_macro", broken)
+    pool = ScenarioPool(strict=True)
+    server = AioServer(ServeContext(pool=pool, params=dict(SMALL)))
+    with pytest.raises(OSError, match="generator broken"):
+        asyncio.run(server.start())
+    assert server._listener is None
+
+
+def test_graceful_shutdown_drains_inflight_requests(scenario, monkeypatch):
     # A request that arrives before shutdown must be fully answered: the
-    # drain waits for the in-flight /v1/report (which pays a
-    # multi-second cold build) to produce its 200 before the server
-    # thread returns.
+    # drain waits for the in-flight /v1/report (its handler slowed by a
+    # second) to produce its 200 before the server thread returns.
+    render_report = handlers.handle_report
+    entered = threading.Event()
+
+    def slow_report(ctx):
+        entered.set()
+        time.sleep(1.0)
+        return render_report(ctx)
+
+    monkeypatch.setattr(handlers, "handle_report", slow_report)
     server = AioServer(seeded_context(scenario, SMALL))
     stop = boot(server)
-    started = threading.Event()
     result = {}
 
     def slow_request():
-        started.set()
         status, _, body = _get(server, "/v1/report")
         result["status"] = status
         result["body"] = body
 
     requester = threading.Thread(target=slow_request)
     requester.start()
-    started.wait(timeout=10)
-    time.sleep(0.5)  # let the request reach the handler (build takes >1s)
+    assert entered.wait(timeout=30)  # the request reached the handler
     stop()  # must block until the response is written
     requester.join(timeout=10)
 

@@ -17,11 +17,8 @@ import urllib.request
 import pytest
 
 from repro.obs import parse_traceparent, trace_from_json
-from repro.serve import ScenarioPool, ServeContext
 from repro.serve.aio import AioServer
 from tests.serve.conftest import boot, seeded_context
-
-SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
 
 def _get(server, path, headers=None):
@@ -164,51 +161,23 @@ def test_client_request_id_is_echoed(traced_server):
     assert headers["X-Request-Id"] == "req-from-the-caller"
 
 
-# -- serve -> pool -> dataset-build linkage -----------------------------------
+# -- serve -> render linkage --------------------------------------------------
 
 
-def test_trace_links_serve_pool_and_parallel_dataset_builds(served, tmp_path):
-    # a cold server with a 2-worker pool: the sampled first request's
-    # artifact must show the serve root span, the pool's single-flight
-    # build under it, and dataset builds fanned out to executor threads
-    server = served(
-        context=ServeContext(pool=ScenarioPool(build_workers=2), params=dict(SMALL)),
-        trace_sample_rate=1.0,
-        trace_dir=tmp_path,
-    )
+def test_trace_links_serve_request_and_report_render(served, tmp_path):
+    # A sampled first /v1/report on a lazily filled plane renders the
+    # artifact: the render's span sits under the request's root span.
+    # (Dataset builds happen before the server listens; their spans'
+    # linkage across executor threads is covered in tests/exec.)
+    server = served(trace_sample_rate=1.0, trace_dir=tmp_path)
     status, headers, _ = _get(server, "/v1/report")
     assert status == 200
     parsed = parse_traceparent(headers["traceparent"])
     doc = trace_from_json(json.dumps(_wait_for_trace(tmp_path, parsed.trace_id)))
     root = _assert_span_tree(doc)
     assert root["name"] == "serve.request.report"
-
-    spans = doc["spans"]
-    by_id = {span["span_id"]: span for span in spans}
-    names = {span["name"] for span in spans}
-    assert "serve.pool.build" in names
-    assert "scenario.build.parallel" in names
-    build_spans = [
-        s
-        for s in spans
-        if s["name"].startswith("scenario.build.")
-        and s["name"] != "scenario.build.parallel"
+    renders = [
+        span for span in doc["spans"]
+        if span["name"] == "serve.artifacts.render.report"
     ]
-    assert len(build_spans) == 16  # one per dataset
-
-    def ancestors(span):
-        seen = []
-        while span["parent_id"] is not None:
-            span = by_id[span["parent_id"]]
-            seen.append(span["name"])
-        return seen
-
-    # every dataset build chains up through the parallel umbrella,
-    # the pool build, and the serve request span — across threads
-    for span in build_spans:
-        chain = ancestors(span)
-        assert "scenario.build.parallel" in chain
-        assert "serve.pool.build" in chain
-        assert chain[-1] == "serve.request.report"
-    # and the fan-out really crossed threads
-    assert len({s["thread"] for s in build_spans}) > 1
+    assert [span["parent_id"] for span in renders] == [root["span_id"]]
