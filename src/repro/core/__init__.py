@@ -7,6 +7,8 @@
   and table (fig01..fig21, table1, table2).
 * :mod:`repro.core.report` -- text rendering and the run-everything entry
   point.
+* :mod:`repro.core.shared` -- the memoized intermediates several
+  exhibits, findings and scorecard panels read.
 """
 
 from repro.core.degrade import DatasetDegradedError, DegradedDataset

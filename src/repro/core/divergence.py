@@ -12,6 +12,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+from repro.core import shared
 from repro.core.scenario import Scenario
 from repro.timeseries.month import Month
 from repro.timeseries.panel import CountryPanel
@@ -95,13 +96,12 @@ def divergence_summary(
 
 def crisis_dashboard(scenario: Scenario, country: str = "VE") -> list[DivergenceSummary]:
     """The divergence story across the paper's longitudinal signals."""
-    from repro.mlab.aggregate import median_download_panel
     from repro.core.exhibits.performance import gpdns_country_medians
 
     signals: list[tuple[str, CountryPanel, bool]] = [
-        ("download speed", median_download_panel(scenario.ndt_tests), False),
-        ("IPv6 adoption", scenario.ipv6.panel(), False),
-        ("peering facilities", scenario.peeringdb.facility_count_panel(), False),
+        ("download speed", shared.median_download_panel(scenario), False),
+        ("IPv6 adoption", shared.ipv6_panel(scenario), False),
+        ("peering facilities", shared.facility_count_panel(scenario), False),
         ("GPDNS RTT", gpdns_country_medians(scenario), True),
     ]
     summaries = []

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
+from repro.core import shared
 from repro.core.exhibit import Exhibit, register, row
 from repro.core.scenario import Scenario
 from repro.peeringdb.synthetic import VE_MEMBER_NAMES
-from repro.rootdns.analysis import (
-    probe_count_panel,
-    replica_count_panel,
-    sites_seen_from_country,
-)
+from repro.rootdns.analysis import probe_count_panel, sites_seen_from_country
 from repro.timeseries.month import Month
 from repro.timeseries.stats import growth_factor
 
@@ -17,7 +14,7 @@ from repro.timeseries.stats import growth_factor
 @register("fig03")
 def fig03_peering_facilities(scenario: Scenario) -> Exhibit:
     """Fig. 3: growth of peering facilities in the LACNIC region."""
-    panel = scenario.peeringdb.facility_count_panel()
+    panel = shared.facility_count_panel(scenario)
     total = panel.regional_sum()
     start, end = Month(2018, 4), Month(2024, 1)
 
@@ -72,7 +69,7 @@ def fig04_submarine_cables(scenario: Scenario) -> Exhibit:
 @register("fig05")
 def fig05_ipv6_adoption(scenario: Scenario) -> Exhibit:
     """Fig. 5: IPv6 request share seen by Meta."""
-    panel = scenario.ipv6.panel()
+    panel = shared.ipv6_panel(scenario)
     mean = panel.regional_mean()
     rows = [
         row("regional mean early 2018 (%)", 5.0, mean[Month(2018, 1)]),
@@ -89,7 +86,7 @@ def fig05_ipv6_adoption(scenario: Scenario) -> Exhibit:
 @register("fig06")
 def fig06_root_replicas(scenario: Scenario) -> Exhibit:
     """Fig. 6: root DNS replicas hosted per country."""
-    panel = replica_count_panel(scenario.chaos_observations)
+    panel = shared.replica_count_panel(scenario)
     total = panel.regional_sum()
     start, end = Month(2016, 1), Month(2024, 1)
     ve = panel.get("VE")

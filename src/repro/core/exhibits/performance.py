@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import statistics
 
+from repro.core import shared
 from repro.core.exhibit import Exhibit, register, row
 from repro.core.scenario import Scenario
-from repro.atlas.traceroute import min_rtt_per_probe_month
 from repro.geo.venezuela import distance_to_colombian_border_km
-from repro.mlab.aggregate import median_download_panel
 from repro.timeseries.month import Month
 from repro.timeseries.panel import CountryPanel
 from repro.timeseries.series import MonthlySeries
@@ -18,7 +17,7 @@ from repro.timeseries.stats import half_year_value, stagnation_months
 @register("fig11")
 def fig11_bandwidth(scenario: Scenario) -> Exhibit:
     """Fig. 11: median download speeds across the region."""
-    panel = median_download_panel(scenario.ndt_tests)
+    panel = shared.median_download_panel(scenario)
     july_2023 = Month(2023, 7)
     ve = panel["VE"]
     norm = panel.normalised_against_regional_mean("VE")
@@ -44,7 +43,7 @@ def fig11_bandwidth(scenario: Scenario) -> Exhibit:
 
 def gpdns_country_medians(scenario: Scenario) -> CountryPanel:
     """Median per-probe monthly min-RTT to GPDNS, per country."""
-    minima = min_rtt_per_probe_month(scenario.gpdns_traceroutes)
+    minima = shared.min_rtt_per_probe_month(scenario)
     probe_country = {p.probe_id: p.country for p in scenario.probes.probes}
     per_country: dict[tuple[str, Month], list[float]] = {}
     for (probe_id, month), rtt in minima.items():
@@ -109,7 +108,7 @@ def classify_bin(rtt: float) -> str:
 def fig20_probe_map(scenario: Scenario) -> Exhibit:
     """Fig. 20 (Appendix J): Venezuelan probes coloured by min RTT."""
     month = Month(2023, 12)
-    minima = min_rtt_per_probe_month(scenario.gpdns_traceroutes)
+    minima = shared.min_rtt_per_probe_month(scenario)
     probes = {p.probe_id: p for p in scenario.probes.active(month, "VE")}
     bins: dict[str, int] = {label: 0 for label, _b in FIG20_BINS}
     fast_distances: list[float] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.core import shared
 from repro.core.scenario import Scenario
 from repro.geo.countries import is_lacnic
 from repro.timeseries.panel import CountryPanel
@@ -84,7 +85,7 @@ def fig03_series(scenario: Scenario) -> ThreePanelFigure:
     return _three_panel(
         "fig03",
         "Peering facilities",
-        scenario.peeringdb.facility_count_panel(),
+        shared.facility_count_panel(scenario),
         AggregateMode.SUM,
         "facilities",
     )
@@ -95,7 +96,7 @@ def fig04_series(scenario: Scenario) -> ThreePanelFigure:
     figure = _three_panel(
         "fig04",
         "Submarine cable networks",
-        scenario.cables.count_panel(1990, 2024),
+        shared.cable_count_panel(scenario, 1990, 2024),
         AggregateMode.SUM,
         "cables",
     )
@@ -109,7 +110,7 @@ def fig05_series(scenario: Scenario) -> ThreePanelFigure:
     return _three_panel(
         "fig05",
         "IPv6 adoption (Meta)",
-        scenario.ipv6.panel(),
+        shared.ipv6_panel(scenario),
         AggregateMode.MEAN,
         "%",
     )
@@ -117,12 +118,10 @@ def fig05_series(scenario: Scenario) -> ThreePanelFigure:
 
 def fig06_series(scenario: Scenario) -> ThreePanelFigure:
     """Fig. 6: root DNS replicas per country."""
-    from repro.rootdns.analysis import replica_count_panel
-
     return _three_panel(
         "fig06",
         "Root DNS replicas",
-        replica_count_panel(scenario.chaos_observations),
+        shared.replica_count_panel(scenario),
         AggregateMode.SUM,
         "replicas",
     )
@@ -130,12 +129,10 @@ def fig06_series(scenario: Scenario) -> ThreePanelFigure:
 
 def fig11_series(scenario: Scenario) -> ThreePanelFigure:
     """Fig. 11: median download speed per country."""
-    from repro.mlab.aggregate import median_download_panel
-
     return _three_panel(
         "fig11",
         "Median download speed",
-        median_download_panel(scenario.ndt_tests),
+        shared.median_download_panel(scenario),
         AggregateMode.MEAN,
         "Mbps",
     )

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from functools import partial
 
+from repro.core import shared
 from repro.core.scenario import Scenario
 from repro.registry.address_plan import AS_CANTV
 from repro.timeseries.month import Month
@@ -30,7 +32,7 @@ def infrastructure_finding(scenario: Scenario) -> Finding:
     region_before = len(cables.regional_cables(2000))
     region_after = len(cables.regional_cables(2024))
     ve_added = [c.name for c in cables.cables_touching("VE") if c.rfs_year > 2000]
-    facilities = scenario.peeringdb.facility_count_panel()
+    facilities = shared.facility_count_panel(scenario)
     total = facilities.regional_sum()
     ve_facilities = facilities["VE"].last_value()
     text = (
@@ -68,16 +70,14 @@ def interdomain_finding(scenario: Scenario) -> Finding:
 
 def performance_finding(scenario: Scenario) -> Finding:
     """The bandwidth / latency bullet."""
-    from repro.atlas.traceroute import min_rtt_per_probe_month
-    from repro.mlab.aggregate import median_download_panel
     from repro.timeseries.stats import stagnation_months
 
-    panel = median_download_panel(scenario.ndt_tests)
+    panel = shared.median_download_panel(scenario)
     ve = panel["VE"].rolling_mean(3)
     below = stagnation_months(ve, 1.0)
     latest_speed = panel["VE"].last_value()
 
-    minima = min_rtt_per_probe_month(scenario.gpdns_traceroutes)
+    minima = shared.min_rtt_per_probe_month(scenario)
     probe_country = {p.probe_id: p.country for p in scenario.probes.probes}
     last_half = [Month(2023, m) for m in range(7, 13)]
     by_country: dict[str, list[float]] = {}
@@ -98,9 +98,7 @@ def performance_finding(scenario: Scenario) -> Finding:
 
 def dns_finding(scenario: Scenario) -> Finding:
     """The root-DNS regression bullet."""
-    from repro.rootdns.analysis import replica_count_panel
-
-    panel = replica_count_panel(scenario.chaos_observations)
+    panel = shared.replica_count_panel(scenario)
     total = panel.regional_sum()
     ve = panel.get("VE")
     ve_start = ve.first_value() if ve else 0
@@ -113,12 +111,18 @@ def dns_finding(scenario: Scenario) -> Finding:
 
 
 def all_findings(scenario: Scenario) -> list[Finding]:
-    """Every computed finding, in the paper's presentation order."""
+    """Every computed finding, in the paper's presentation order.
+
+    Each finding is memoized on the scenario (:meth:`Scenario.derive`).
+    """
     return [
-        infrastructure_finding(scenario),
-        interdomain_finding(scenario),
-        performance_finding(scenario),
-        dns_finding(scenario),
+        scenario.derive(("finding", finding.__name__), partial(finding, scenario))
+        for finding in (
+            infrastructure_finding,
+            interdomain_finding,
+            performance_finding,
+            dns_finding,
+        )
     ]
 
 

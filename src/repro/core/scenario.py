@@ -11,9 +11,19 @@ the same object.  ``build_all(max_workers=N)`` exploits that by
 scheduling independent datasets onto a thread pool via
 :mod:`repro.exec.executor`, and an optional :class:`repro.exec.cache.DatasetCache`
 short-circuits builds entirely from a persistent on-disk store.
-Values computed from the datasets (each exhibit, each scorecard panel)
-go through :meth:`Scenario.derive`, the same locking over a separate
-memo, so one scenario computes each of them once.
+Values computed from the datasets (each exhibit, each scorecard panel,
+the intermediates they share) go through :meth:`Scenario.derive`, the
+same locking over a separate memo, so one scenario computes each of
+them once.  Dataset properties never write the instance ``__dict__``,
+so every read passes through them and is recorded against the
+``derive`` running at the time: the memo keeps each value's dataset
+reads beside it.
+
+A scenario starts with what it inherits; nothing is invalidated in
+place.  :meth:`Scenario.inherit` lets a fresh world (an ingest apply's
+overlay scenario) take from the world being served every dataset whose
+overlay partitions did not change, and every memoized value whose
+recorded reads all fall among those datasets.
 
 Every dataset build is observable: it runs under a
 ``scenario.build.<name>`` span/timer and bumps the
@@ -42,6 +52,7 @@ instead of the synthetic generators.
 from __future__ import annotations
 
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
@@ -85,6 +96,42 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
 
 T = TypeVar("T")
+
+#: The read set of the :meth:`Scenario.derive` running in this context,
+#: or None outside one.  A ContextVar, so each thread records its own.
+_READS: ContextVar["set[str] | None"] = ContextVar("scenario_reads", default=None)
+
+_MISSING = object()
+
+
+def _note_reads(reads: "set[str] | frozenset[str]") -> None:
+    """Add *reads* to the read set of the ``derive`` running, if any."""
+    outer = _READS.get()
+    if outer is not None:
+        outer |= reads
+
+
+class dataset_property(cached_property):
+    """A Scenario dataset: materialised once, every read recorded.
+
+    Unlike a plain ``cached_property`` it never writes the instance
+    ``__dict__``; the value lives in the scenario's materialised map, so
+    each access comes through :meth:`__get__` and adds the dataset's
+    name to the read set of the :meth:`Scenario.derive` running in the
+    current context.  It stays a non-data descriptor (no ``__set__``),
+    so a value placed in ``scenario.__dict__`` still shadows it.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        reads = _READS.get()
+        if reads is not None:
+            reads.add(self.attrname)
+        value = instance._materialised.get(self.attrname, _MISSING)
+        if value is _MISSING or isinstance(value, DegradedDataset):
+            return self.func(instance)  # builds, or raises the degradation
+        return value
 
 
 @dataclass
@@ -140,7 +187,8 @@ class Scenario:
         self._dataset_locks: dict[str, threading.Lock] = {}
         self._materialised: dict[str, object] = {}
         self._derive_locks: dict[Hashable, threading.Lock] = {}
-        self._derived: dict[Hashable, object] = {}
+        #: key -> (value, the dataset names computing it read).
+        self._derived: dict[Hashable, tuple[object, frozenset[str]]] = {}
 
     def cache_params(self) -> dict[str, int]:
         """The scenario parameters that key every cache entry."""
@@ -183,9 +231,16 @@ class Scenario:
         """
         with self._lock_for(name, self._dataset_locks):
             if name not in self._materialised:
-                self._materialised[name] = timed(
-                    f"scenario.build.{name}", lambda: self._materialise(name, thunk)
-                )
+                # What the builder reads (chaos_observations reads probes)
+                # is not a read of the derive that happened to trigger it.
+                token = _READS.set(None)
+                try:
+                    self._materialised[name] = timed(
+                        f"scenario.build.{name}",
+                        lambda: self._materialise(name, thunk),
+                    )
+                finally:
+                    _READS.reset(token)
             value = self._materialised[name]
             if isinstance(value, DegradedDataset):
                 raise DatasetDegradedError(value)
@@ -276,18 +331,76 @@ class Scenario:
         thunk reads datasets through the properties, which already
         apply them.
 
-        The memo lives as long as the scenario.  Each ingest apply
-        builds a new (overlay) scenario, so it starts with an empty
-        memo and nothing ever needs invalidating.
+        The memo stores the names of the datasets the thunk read beside
+        its value, including the reads of every ``derive`` nested in it
+        (a memo hit inside a running thunk adds the inner key's reads to
+        the outer one).  The memo lives as long as the scenario.  A
+        scenario starts with what it inherits (:meth:`inherit`);
+        nothing is invalidated in place.
         """
-        try:
-            return self._derived[key]  # type: ignore[return-value]
-        except KeyError:
-            pass
-        with self._lock_for(key, self._derive_locks):
-            if key not in self._derived:
-                self._derived[key] = thunk()
-            return self._derived[key]  # type: ignore[return-value]
+        entry = self._derived.get(key)
+        if entry is None:
+            with self._lock_for(key, self._derive_locks):
+                entry = self._derived.get(key)
+                if entry is None:
+                    reads: set[str] = set()
+                    token = _READS.set(reads)
+                    try:
+                        value = thunk()
+                    finally:
+                        # A thunk that raised (a degraded dataset) still
+                        # read what it read: the caller may memoize a
+                        # placeholder that must not outlive those reads.
+                        _READS.reset(token)
+                        _note_reads(reads)
+                    self._derived[key] = (value, frozenset(reads))
+                    return value
+        _note_reads(entry[1])
+        return entry[0]  # type: ignore[return-value]
+
+    def inherit(self, previous: "Scenario") -> None:
+        """Take over what this world shares with *previous*.
+
+        Call on a fresh scenario, before anything is built; nothing
+        happens unless both have equal :meth:`cache_params`.  Datasets
+        go in :func:`repro.exec.dag.topological_order`: one is taken
+        when *previous* holds it undegraded (a degraded one is retried,
+        not carried over), its overlay partitions are the same in both
+        worlds and every dataset it is built from was taken.  Then every
+        memoized value whose recorded reads were all taken is taken too.
+
+        *previous* may still be serving and filling its memo: both maps
+        are read from snapshots, and each memo entry carries its value
+        and its reads together.  Counted in ``scenario.dataset.inherited``
+        and ``scenario.derived.inherited``.
+        """
+        if previous.cache_params() != self.cache_params():
+            return
+        from repro.exec.dag import DATASET_DEPS, topological_order
+
+        materialised = dict(previous._materialised)
+        taken: set[str] = set()
+        for name in topological_order():
+            value = materialised.get(name, _MISSING)
+            if (
+                value is _MISSING
+                or isinstance(value, DegradedDataset)
+                or not taken.issuperset(DATASET_DEPS[name])
+                or _partitions(self.overlay, name)
+                != _partitions(previous.overlay, name)
+            ):
+                continue
+            self._materialised[name] = value
+            taken.add(name)
+        derived = {
+            key: entry
+            for key, entry in dict(previous._derived).items()
+            if entry[1] <= taken
+        }
+        self._derived.update(derived)
+        registry = get_registry()
+        registry.counter("scenario.dataset.inherited").inc(len(taken))
+        registry.counter("scenario.derived.inherited").inc(len(derived))
 
     # -- degradation introspection -------------------------------------------
 
@@ -321,51 +434,51 @@ class Scenario:
 
     # -- Section 2: macro ---------------------------------------------------
 
-    @cached_property
+    @dataset_property
     def macro(self) -> IndicatorStore:
         """IMF/OECD indicator store (Fig. 1 / Fig. 13)."""
         return self._build("macro", synthesize_macro)
 
     # -- Section 4: address space -------------------------------------------
 
-    @cached_property
+    @dataset_property
     def delegations(self) -> DelegationFile:
         """LACNIC delegation file for Venezuela (Fig. 2 denominator)."""
         return self._build("delegations", synthesize_ve_delegations)
 
-    @cached_property
+    @dataset_property
     def prefix2as(self) -> Prefix2ASArchive:
         """Monthly RouteViews prefix2as archive (Fig. 2 / Fig. 14)."""
         return self._build("prefix2as", synthesize_prefix2as_archive)
 
     # -- Section 5: infrastructure ---------------------------------------------
 
-    @cached_property
+    @dataset_property
     def peeringdb(self) -> PeeringDBArchive:
         """Monthly PeeringDB archive (Figs. 3, 10, 15, 21; Table 2)."""
         return self._build("peeringdb", synthesize_peeringdb_archive)
 
-    @cached_property
+    @dataset_property
     def cables(self) -> CableMap:
         """Submarine cable map (Fig. 4)."""
         return self._build("cables", synthesize_cable_map)
 
-    @cached_property
+    @dataset_property
     def ipv6(self) -> AdoptionDataset:
         """Meta IPv6 adoption dataset (Fig. 5)."""
         return self._build("ipv6", synthesize_ipv6_adoption)
 
-    @cached_property
+    @dataset_property
     def root_deployment(self) -> RootDeployment:
         """Root server site schedule (ground truth behind Fig. 6)."""
         return self._build("root_deployment", synthesize_root_deployment)
 
-    @cached_property
+    @dataset_property
     def probes(self) -> ProbeRegistry:
         """RIPE Atlas probe fleet (Figs. 12, 17, 20)."""
         return self._build("probes", synthesize_probe_registry)
 
-    @cached_property
+    @dataset_property
     def chaos_observations(self) -> ChaosColumns:
         """Parsed CHAOS TXT answers (Figs. 6, 16, 17), packed columns."""
 
@@ -382,36 +495,36 @@ class Scenario:
 
     # -- Sections 5.5 / App. G-H: content infrastructure -------------------------
 
-    @cached_property
+    @dataset_property
     def populations(self) -> APNICEstimates:
         """APNIC per-AS population estimates (Table 1 and weighting)."""
         return self._build("populations", synthesize_populations)
 
-    @cached_property
+    @dataset_property
     def offnets(self) -> OffnetArchive:
         """Hypergiant off-net archive (Figs. 7, 18)."""
         return self._build("offnets", lambda: synthesize_offnets(self.populations))
 
-    @cached_property
+    @dataset_property
     def orgmap(self) -> OrgMap:
         """as2org+ organisation map."""
         return self._build("orgmap", synthesize_org_map)
 
-    @cached_property
+    @dataset_property
     def site_survey(self) -> SiteSurvey:
         """Third-party dependency survey (Fig. 19)."""
         return self._build("site_survey", synthesize_site_survey)
 
     # -- Section 6: interdomain --------------------------------------------------
 
-    @cached_property
+    @dataset_property
     def asrel(self) -> ASRelArchive:
         """CAIDA AS-relationship archive (Figs. 8, 9)."""
         return self._build("asrel", synthesize_asrel_archive)
 
     # -- Section 7: performance ----------------------------------------------------
 
-    @cached_property
+    @dataset_property
     def ndt_tests(self) -> NDTColumns:
         """Synthetic M-Lab NDT test load (Fig. 11), packed columns."""
 
@@ -423,7 +536,7 @@ class Scenario:
 
         return self._build("ndt_tests", build)
 
-    @cached_property
+    @dataset_property
     def gpdns_traceroutes(self) -> TracerouteColumns:
         """GPDNS traceroute campaign results (Figs. 12, 20), packed columns."""
 
@@ -456,6 +569,13 @@ class Scenario:
             for name in names:
                 self.materialise(name)
         return names
+
+
+def _partitions(overlay: object | None, name: str) -> list:
+    """The overlay partitions of dataset *name* (none without an overlay)."""
+    if overlay is None:
+        return []
+    return overlay.partitions(name)  # type: ignore[attr-defined]
 
 
 def dataset_names() -> list[str]:

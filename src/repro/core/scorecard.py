@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
+from repro.core import shared
 from repro.core.degrade import DatasetDegradedError
 from repro.core.scenario import Scenario
 from repro.geo.countries import (  # noqa: F401  (UnknownCountryError: re-export)
@@ -160,26 +161,17 @@ def build_scorecard(scenario: Scenario, code: str) -> Scorecard:
         UnknownCountryError: *code* is not in the country registry.
         NonLacnicCountryError: the country is outside the LACNIC region.
     """
-    from repro.mlab.aggregate import median_download_panel
-    from repro.rootdns.analysis import replica_count_panel
-
     code = code.upper()
     home = check_country(code)  # raises UnknownCountryError / NonLacnicCountryError
 
     # Thunks, not values: each panel touches its dataset only when its
     # rows are computed, so one degraded dataset costs one panel, not all.
     panels = [
-        ("peering facilities", lambda: scenario.peeringdb.facility_count_panel()),
-        ("submarine cables", lambda: scenario.cables.count_panel(2000, 2024)),
-        ("IPv6 adoption (%)", lambda: scenario.ipv6.panel()),
-        (
-            "root DNS replicas",
-            lambda: replica_count_panel(scenario.chaos_observations),
-        ),
-        (
-            "download speed (Mbps)",
-            lambda: median_download_panel(scenario.ndt_tests),
-        ),
+        ("peering facilities", partial(shared.facility_count_panel, scenario)),
+        ("submarine cables", partial(shared.cable_count_panel, scenario, 2000, 2024)),
+        ("IPv6 adoption (%)", partial(shared.ipv6_panel, scenario)),
+        ("root DNS replicas", partial(shared.replica_count_panel, scenario)),
+        ("download speed (Mbps)", partial(shared.median_download_panel, scenario)),
     ]
     rows = [
         scenario.derive(("scorecard", name), partial(_panel_rows, name, thunk))[code]

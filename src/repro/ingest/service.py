@@ -42,9 +42,10 @@ from repro.ingest.overlay import (
     dataset_fingerprint,
 )
 from repro.ingest.wal import ReplayReport, WriteAheadLog
-from repro.obs import get_logger, get_registry
+from repro.obs import get_logger, get_registry, timed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.scenario import Scenario
     from repro.exec.cache import DatasetCache
     from repro.serve.artifacts import ArtifactStore
 
@@ -282,6 +283,7 @@ def apply_ingest(
     params: dict[str, object],
     jobs: int = 1,
     strict: bool = True,
+    previous: "Scenario | None" = None,
 ) -> ApplyResult:
     """Rebuild the world under the service's overlay and checkpoint it.
 
@@ -291,7 +293,28 @@ def apply_ingest(
     :class:`~repro.serve.artifacts.ArtifactStore` is rebuilt from the
     merged world.  The checkpoint (seq + fingerprints) commits last —
     a crash anywhere before it re-applies idempotently on restart.
+
+    With *previous* (the world being served), the new world first
+    inherits from it (:meth:`~repro.core.scenario.Scenario.inherit`):
+    every dataset the journal did not change and every memoized value
+    that read only those, so the apply computes only what the append
+    touched.  The result is byte-identical either way.  Timed into
+    ``ingest.apply``.
     """
+    return timed(
+        "ingest.apply",
+        lambda: _apply(service, cache, params, jobs, strict, previous),
+    )
+
+
+def _apply(
+    service: IngestService,
+    cache: "DatasetCache | None",
+    params: dict[str, object],
+    jobs: int,
+    strict: bool,
+    previous: "Scenario | None",
+) -> ApplyResult:
     from repro.core.scenario import Scenario
     from repro.serve.artifacts import build_artifact_store
     from repro.serve.handlers import ServeContext
@@ -305,6 +328,8 @@ def apply_ingest(
         overlay=overlay if overlay else None,
         **params,  # type: ignore[arg-type]
     )
+    if previous is not None:
+        scenario.inherit(previous)
     scenario.build_all(max_workers=jobs)
     # Datasets rebuilt (dirty shards merged); the serving surface is not.
     maybe_crash("mid-rebuild")

@@ -16,6 +16,13 @@
   (counted in ``ingest.apply.errors``): the batches stay acked and the
   next apply — or startup recovery — retries them.
 
+Each apply starts its new world from the one the current surface
+serves (``apply_ingest(previous=...)``), so it recomputes only what the
+append touched.  Startup recovery runs before the server has built
+anything and inherits nothing.  After each swap the
+``ingest.freshness_lag`` gauge holds the seconds from the ack of the
+oldest batch the swap made visible to the swap itself.
+
 One apply covers every batch journaled before it started (folding is
 per-journal, not per-batch), so a burst of submissions coalesces into a
 single rebuild.
@@ -27,6 +34,7 @@ before the server starts serving.
 from __future__ import annotations
 
 import threading
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -69,6 +77,11 @@ class ServeIngestor:
         self._state_lock = threading.Lock()
         self._wakeup = threading.Event()
         self._thread: threading.Thread | None = None
+        #: seq -> monotonic ack time of batches acked here and not yet
+        #: visible; guarded by ``_acks_lock`` with ``_visible_seq``.
+        self._acks: dict[int, float] = {}
+        self._visible_seq = 0
+        self._acks_lock = threading.Lock()
 
     # -- the transport-facing API (handle_ingest calls these) ----------------
 
@@ -84,6 +97,10 @@ class ServeIngestor:
     ) -> Receipt:
         """Journal one batch and schedule a background apply."""
         receipt = self.service.submit(format_name, lines, meta)
+        acked = time.monotonic()
+        with self._acks_lock:
+            if not receipt.duplicate and receipt.seq > self._visible_seq:
+                self._acks[receipt.seq] = acked
         self._schedule_apply()
         return receipt
 
@@ -113,6 +130,8 @@ class ServeIngestor:
                 base_params,
                 jobs=self.jobs,
                 strict=self.strict,
+                # Before start() the pool is cold: recovery inherits nothing.
+                previous=old.context.pool.peek(**old.context.params),
             )
             context = result.context
             # The new generation inherits the serving identity that must
@@ -120,7 +139,23 @@ class ServeIngestor:
             context.slo = old.context.slo
             context.ingest = self
             self.server.swap_surface(context, result.store)
+            self._record_freshness(result.applied_seq)
             return result
+
+    def _record_freshness(self, applied_seq: int) -> None:
+        """Set ``ingest.freshness_lag`` for the batches a swap made visible.
+
+        The lag runs from the oldest newly visible batch's ack to now.
+        Batches acked by an earlier process have no ack time and are
+        skipped; a swap that shows no batch acked here leaves the gauge.
+        """
+        swapped = time.monotonic()
+        with self._acks_lock:
+            self._visible_seq = max(self._visible_seq, applied_seq)
+            covered = [seq for seq in self._acks if seq <= applied_seq]
+            acked = [self._acks.pop(seq) for seq in covered]
+        if acked:
+            get_registry().gauge("ingest.freshness_lag").set(swapped - min(acked))
 
     def join(self, timeout: float | None = None) -> None:
         """Wait for the background apply thread to drain (tests, drills)."""

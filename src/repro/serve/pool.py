@@ -61,6 +61,11 @@ class ScenarioPool:
         with self._lock:
             self._scenarios[tuple(sorted(params.items()))] = scenario
 
+    def peek(self, **params: object) -> Scenario | None:
+        """The warm scenario for *params*, or None; never builds one."""
+        with self._lock:
+            return self._scenarios.get(tuple(sorted(params.items())))
+
     def get(self, **params: object) -> Scenario:
         """The warm scenario for *params*, building it on first use."""
         key = tuple(sorted(params.items()))

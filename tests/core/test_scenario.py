@@ -69,3 +69,69 @@ def test_builds_record_spans_and_counters():
     assert registry.counter("scenario.dataset.built").value == 2
     assert registry.timer("scenario.build.macro").count == 1
     assert registry.timer("scenario.build.delegations").count == 1
+
+
+def test_dataset_properties_never_write_the_instance_dict():
+    # Every read reaches the descriptor (that is how derive records it),
+    # yet a value stays one object and an injected value still shadows.
+    scenario = Scenario(ndt_tests_per_month=1)
+    assert scenario.macro is scenario.macro
+    assert "macro" not in vars(scenario)
+    assert not hasattr(type(vars(Scenario)["macro"]), "__set__")
+    injected = object()
+    scenario.__dict__["cables"] = injected
+    assert scenario.cables is injected
+
+
+def test_derive_records_the_reads_of_a_nested_derive():
+    scenario = Scenario(ndt_tests_per_month=1)
+
+    def outer():
+        scenario.macro
+        return scenario.derive("inner", lambda: scenario.cables)
+
+    assert scenario.derive("outer", outer) is scenario.cables
+    # A memo entry is (value, the names of the datasets it read).
+    assert scenario._derived["inner"][1] == {"cables"}
+    assert scenario._derived["outer"][1] == {"macro", "cables"}
+
+
+def test_a_memo_hit_inside_a_derive_adds_the_inner_reads():
+    scenario = Scenario(ndt_tests_per_month=1)
+    scenario.derive("inner", lambda: (scenario.ipv6, scenario.macro))
+    ran = []
+
+    def inner_again():
+        ran.append(1)
+        return None
+
+    scenario.derive("outer", lambda: scenario.derive("inner", inner_again))
+    assert ran == []  # a memo hit: the inner thunk did not run again
+    assert scenario._derived["outer"][1] == {"ipv6", "macro"}
+
+
+def test_derive_reads_exclude_what_a_dataset_builder_reads():
+    # offnets is built from populations, but the thunk read offnets only.
+    scenario = Scenario(ndt_tests_per_month=1)
+    scenario.derive("offnets", lambda: scenario.offnets)
+    assert scenario._derived["offnets"][1] == {"offnets"}
+
+
+def test_a_raising_inner_derive_still_reports_its_reads():
+    # The outer value (a degradation placeholder, say) must not look as
+    # if it read nothing when the inner thunk failed after reading.
+    scenario = Scenario(ndt_tests_per_month=1)
+
+    def failing():
+        scenario.macro
+        raise RuntimeError("degraded")
+
+    def outer():
+        try:
+            return scenario.derive("inner", failing)
+        except RuntimeError:
+            return "placeholder"
+
+    assert scenario.derive("outer", outer) == "placeholder"
+    assert scenario._derived["outer"][1] == {"macro"}
+    assert "inner" not in scenario._derived

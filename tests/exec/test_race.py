@@ -134,3 +134,35 @@ def test_derive_keys_live_apart_from_dataset_names():
     assert results == [scenario.macro]
     assert scenario.derive("macro", lambda: None) is scenario.macro
     assert scenario.degraded() == []
+
+
+def test_eight_racing_derives_each_record_their_own_reads():
+    # Each thread's outer value reads one dataset of its own plus a
+    # shared inner value that only one of them computes: every outer
+    # records exactly its own dataset and the inner one's reads.
+    scenario = Scenario(ndt_tests_per_month=1)
+    names = ["macro", "delegations", "cables", "ipv6",
+             "root_deployment", "populations", "orgmap", "site_survey"]
+    barrier = threading.Barrier(len(names))
+    calls = []
+
+    def inner():
+        calls.append(1)
+        time.sleep(0.05)
+        return scenario.probes
+
+    def outer(name):
+        barrier.wait()
+        getattr(scenario, name)
+        return scenario.derive("inner", inner)
+
+    with ThreadPoolExecutor(max_workers=len(names)) as pool:
+        futures = [
+            pool.submit(scenario.derive, ("outer", name), lambda n=name: outer(n))
+            for name in names
+        ]
+        results = [f.result() for f in futures]
+    assert len(calls) == 1
+    assert all(r is scenario.probes for r in results)
+    for name in names:
+        assert scenario._derived[("outer", name)][1] == {name, "probes"}

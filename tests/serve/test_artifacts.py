@@ -6,6 +6,7 @@ from collections import Counter
 import dataclasses
 import pytest
 
+from repro.atlas import traceroute
 from repro.core import Scenario, exhibit_ids
 from repro.geo.countries import LACNIC_CODES
 from repro.ipv6.model import AdoptionDataset
@@ -13,7 +14,6 @@ from repro.mlab import aggregate
 from repro.obs import get_registry
 from repro.peeringdb.archive import PeeringDBArchive
 from repro.rootdns import analysis
-from repro.serve import handlers
 from repro.serve.artifacts import (
     ArtifactStore,
     build_artifact_store,
@@ -103,41 +103,30 @@ def test_a_seal_computes_each_exhibit_and_scorecard_panel_once(
     artifact_plane, monkeypatch
 ):
     # /v1/report and the 23 /v1/exhibit/<id> share one computation per
-    # exhibit, and the 33 scorecards share one computation per panel:
-    # on a fresh scenario a seal runs 23 exhibits, not 46, and ranks
-    # each region-wide panel once, not once per country.
-    scoring: list[str] = []  # non-empty while a scorecard renders
-    panel_calls: Counter = Counter()
+    # exhibit, and the exhibits, findings and 33 scorecards share one
+    # computation of each region-wide intermediate: on a fresh scenario
+    # a whole seal runs 23 exhibits and each panel function once.
+    calls: Counter = Counter()
 
     def spy(owner, name):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            if scoring:
-                panel_calls[name] += 1
+            calls[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    panels = [
+    spied = [
         (PeeringDBArchive, "facility_count_panel"),
         (CableMap, "count_panel"),
         (AdoptionDataset, "panel"),
         (analysis, "replica_count_panel"),
         (aggregate, "median_download_panel"),
+        (traceroute, "min_rtt_per_probe_month"),
     ]
-    for owner, name in panels:
+    for owner, name in spied:
         spy(owner, name)
-    handle_scorecard = handlers.handle_scorecard
-
-    def scorecard(ctx, country):
-        scoring.append(country)
-        try:
-            return handle_scorecard(ctx, country)
-        finally:
-            scoring.pop()
-
-    monkeypatch.setattr(handlers, "handle_scorecard", scorecard)
 
     pool = ScenarioPool()
     pool.seed(Scenario())
@@ -145,5 +134,5 @@ def test_a_seal_computes_each_exhibit_and_scorecard_panel_once(
     before = runs.value
     store = build_artifact_store(ServeContext(pool=pool))
     assert runs.value - before == len(exhibit_ids())
-    assert panel_calls == {name: 1 for _, name in panels}
+    assert calls == {name: 1 for _, name in spied}
     assert store.fingerprint() == artifact_plane[1].fingerprint()

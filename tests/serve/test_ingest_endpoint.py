@@ -9,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.mlab.ndt import NDTResult
+from repro.obs import get_registry
 from repro.serve import ScenarioPool, ServeContext
 from repro.serve.aio import AioServer
 from repro.serve.ingestor import enable_ingest
@@ -180,6 +181,8 @@ def test_recovery_from_journal_on_startup(tmp_path):
         stop()
 
     # A fresh process over the same journal converges to the same world.
+    registry = get_registry()
+    registry.reset()
     reborn, stop = _server(wal_dir)
     try:
         assert reborn.surface.generation == 1  # swapped before serving
@@ -188,8 +191,31 @@ def test_recovery_from_journal_on_startup(tmp_path):
         assert (
             reborn.context.ingest.service.applied_fingerprints == applied
         )
+        # Recovery built only the journal's world: no base world to
+        # inherit from, and no ack time for a batch acked before.
+        assert registry.timer("serve.pool.build").count == 0
+        assert registry.counter("scenario.dataset.inherited").value == 0
+        assert registry.gauge("ingest.freshness_lag").value == 0
     finally:
         stop()
+
+
+def test_an_append_recomputes_one_exhibit_and_reports_its_lag(ingest_server):
+    # The served world has computed the report; the apply inherits all
+    # but the appended dataset and recomputes only fig11.
+    _get(ingest_server, "/v1/report")
+    registry = get_registry()
+    runs = registry.counter("exhibit.runs").value
+    started = time.monotonic()
+    status, _, _ = _post(ingest_server, "/v1/ingest/ndt", _payload())
+    assert status == 200
+    ingest_server.context.ingest.join(timeout=120)
+    wall = time.monotonic() - started
+
+    assert ingest_server.surface.generation == 1
+    assert registry.counter("exhibit.runs").value - runs == 1
+    assert registry.counter("scenario.dataset.inherited").value == 15
+    assert 0 < registry.gauge("ingest.freshness_lag").value <= wall
 
 
 def test_body_split_across_writes_then_pipelined_request(tmp_path):

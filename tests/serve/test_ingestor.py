@@ -1,9 +1,11 @@
-"""ServeIngestor's apply scheduling: an acked batch never waits for a later submit."""
+"""ServeIngestor: an acked batch never waits for a later submit; the freshness gauge."""
 
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
+from repro.obs import get_registry
 from repro.serve.ingestor import ServeIngestor
 
 
@@ -97,3 +99,30 @@ def test_concurrent_submits_strand_no_batch_and_run_one_applier():
 
     assert state["max_active"] == 1
     assert state["covered"] == submitted == 1600
+
+
+def test_freshness_lag_runs_from_the_oldest_new_ack_to_the_swap(monkeypatch):
+    # A duplicate re-ack does not move its batch's ack time, a swap sets
+    # the lag of the oldest batch it made visible, and one that makes
+    # no batch acked here visible (recovery) leaves the gauge alone.
+    receipts = [(1, False), (1, True), (2, False)]
+
+    class Service:
+        def submit(self, format_name, lines, meta):
+            seq, duplicate = receipts.pop(0)
+            return SimpleNamespace(seq=seq, duplicate=duplicate)
+
+    clock = iter([10.0, 11.0, 12.0, 15.0, 20.0, 30.0])
+    monkeypatch.setattr("repro.serve.ingestor.time.monotonic", lambda: next(clock))
+    ingestor = ServeIngestor(server=None, service=Service())
+    ingestor._schedule_apply = lambda: None
+    for _ in range(3):
+        ingestor.submit("ndt", [])
+    gauge = get_registry().gauge("ingest.freshness_lag")
+
+    ingestor._record_freshness(1)  # swapped at 15.0; seq 1 acked at 10.0
+    assert gauge.value == 5.0
+    ingestor._record_freshness(2)  # swapped at 20.0; seq 2 acked at 12.0
+    assert gauge.value == 8.0
+    ingestor._record_freshness(3)  # seq 3 was never acked here
+    assert gauge.value == 8.0
