@@ -1,10 +1,10 @@
 """Benchmark the scenario build paths and emit ``BENCH_scenario.json``.
 
-Times four ways of materialising the full 16-dataset world:
+Times three ways of materialising the full 16-dataset world, each
+through the one (serial) ``build_all()``:
 
-* ``serial_cold``    -- the historical path: lazy builds, one thread.
-* ``parallel_cold``  -- ``build_all(max_workers=N)`` on an empty cache.
-* ``store``          -- parallel build that also fills a disk cache.
+* ``serial_cold``    -- every dataset from its generator, no cache.
+* ``store``          -- the same build, also filling a disk cache.
 * ``warm``           -- the same build served entirely from that cache.
 
 The emitted artifact (schema ``repro.bench/1``) is the baseline future
@@ -13,7 +13,7 @@ perf PRs diff against; CI regenerates and uploads it on every push.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scenario.py \
-        [--out BENCH_scenario.json] [--jobs 4] [--rounds 1]
+        [--out BENCH_scenario.json] [--rounds 1]
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _run(rounds: int, factory) -> dict[str, float]:
     }
 
 
-def bench(jobs: int, rounds: int) -> dict:
+def bench(rounds: int) -> dict:
     """Time every build path; returns the artifact dict."""
 
     def serial_cold() -> float:
@@ -56,16 +56,7 @@ def bench(jobs: int, rounds: int) -> dict:
         scenario.build_all()
         return time.perf_counter() - t0
 
-    def parallel_cold() -> float:
-        scenario = Scenario()
-        t0 = time.perf_counter()
-        scenario.build_all(max_workers=jobs)
-        return time.perf_counter() - t0
-
-    results = {
-        "serial_cold": _run(rounds, serial_cold),
-        "parallel_cold": _run(rounds, parallel_cold),
-    }
+    results = {"serial_cold": _run(rounds, serial_cold)}
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cache = DatasetCache(Path(tmp))
@@ -74,19 +65,19 @@ def bench(jobs: int, rounds: int) -> dict:
             cache.clear()
             scenario = Scenario(cache=cache)
             t0 = time.perf_counter()
-            scenario.build_all(max_workers=jobs)
+            scenario.build_all()
             return time.perf_counter() - t0
 
         results["store"] = _run(rounds, store)
 
         # Refill once, then time pure warm loads.
         cache.clear()
-        Scenario(cache=cache).build_all(max_workers=jobs)
+        Scenario(cache=cache).build_all()
 
         def warm() -> float:
             scenario = Scenario(cache=cache)
             t0 = time.perf_counter()
-            scenario.build_all(max_workers=jobs)
+            scenario.build_all()
             return time.perf_counter() - t0
 
         results["warm"] = _run(rounds, warm)
@@ -100,7 +91,6 @@ def bench(jobs: int, rounds: int) -> dict:
     }
     return {
         "schema": SCHEMA,
-        "jobs": jobs,
         "datasets": len(dataset_names()),
         "cache_bytes": cache_bytes,
         "python": platform.python_version(),
@@ -108,9 +98,6 @@ def bench(jobs: int, rounds: int) -> dict:
         "timings_seconds": results,
         "per_dataset_min_seconds": per_dataset,
         "speedup": {
-            "parallel_vs_serial": round(
-                results["serial_cold"]["min"] / results["parallel_cold"]["min"], 2
-            ),
             "warm_vs_serial": round(
                 results["serial_cold"]["min"] / results["warm"]["min"], 2
             ),
@@ -121,19 +108,16 @@ def bench(jobs: int, rounds: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_scenario.json")
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--rounds", type=int, default=1)
     args = parser.parse_args(argv)
 
-    artifact = bench(jobs=args.jobs, rounds=args.rounds)
+    artifact = bench(rounds=args.rounds)
     Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
     timings = artifact["timings_seconds"]
     print(f"serial cold   : {timings['serial_cold']['min']:.2f}s")
-    print(f"parallel cold : {timings['parallel_cold']['min']:.2f}s  (--jobs {args.jobs})")
     print(f"store (cold+cache): {timings['store']['min']:.2f}s")
     print(f"warm cache    : {timings['warm']['min']:.2f}s")
-    print(f"speedup parallel {artifact['speedup']['parallel_vs_serial']}x, "
-          f"warm {artifact['speedup']['warm_vs_serial']}x")
+    print(f"speedup warm {artifact['speedup']['warm_vs_serial']}x")
     print(f"wrote {args.out}")
     return 0
 

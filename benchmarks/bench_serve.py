@@ -21,7 +21,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py \
         [--out BENCH_serve.json] [--connections 4] \
-        [--asyncio-requests 4000] [--jobs 2]
+        [--asyncio-requests 4000]
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class KeepAliveClient:
         return status, body
 
 
-def _fork_server(jobs: int, quiet: bool) -> tuple[int, int]:
+def _fork_server(quiet: bool) -> tuple[int, int]:
     """Fork a warm server child; returns (pid, port).
 
     The child binds port 0 and reports the resolved port over a pipe
@@ -150,7 +150,7 @@ def _fork_server(jobs: int, quiet: bool) -> tuple[int, int]:
             sock = _reuseport_socket("127.0.0.1", 0)
             os.write(write_fd, str(sock.getsockname()[1]).encode())
             os.close(write_fd)
-            run_aio(create_aio_server(jobs=jobs, sock=sock))
+            run_aio(create_aio_server(sock=sock))
         except BaseException:  # noqa: BLE001 - report, then hard-exit
             import traceback
 
@@ -311,7 +311,6 @@ def _load(
 
 
 def bench_server(
-    jobs: int,
     connections: int,
     requests_per_connection: int,
     warmup_per_connection: int,
@@ -320,7 +319,7 @@ def bench_server(
 ) -> dict:
     """Fork, warm up, measure, verify invariants, drain the server."""
     paths = _request_mix()
-    pid, port = _fork_server(jobs, quiet)
+    pid, port = _fork_server(quiet)
     try:
         _wait_ready("127.0.0.1", port)
         before = _scrape_counters("127.0.0.1", port)
@@ -357,7 +356,6 @@ def bench_server(
 
 
 def bench(
-    jobs: int,
     connections: int,
     asyncio_requests: int,
     warmup: int,
@@ -365,10 +363,9 @@ def bench(
     quiet: bool,
 ) -> dict:
     """The server end to end; returns the ``repro.bench.serve/2`` dict."""
-    aio = bench_server(jobs, connections, asyncio_requests, warmup, timeout, quiet)
+    aio = bench_server(connections, asyncio_requests, warmup, timeout, quiet)
     return {
         "schema": SCHEMA,
-        "jobs": jobs,
         "endpoints": len(_request_mix()),
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -393,7 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         help="excluded warmup requests per connection",
     )
     parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument(
         "--server-logs",
         action="store_true",
@@ -402,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     artifact = bench(
-        jobs=args.jobs,
         connections=args.connections,
         asyncio_requests=args.asyncio_requests,
         warmup=args.warmup,

@@ -25,12 +25,11 @@ Commands:
 Global flags (before the command): ``--trace`` enables span tracing,
 ``--metrics-json PATH`` writes the ``repro.obs/1`` artifact after the
 command, ``--log-format json|text`` selects the structured-log
-rendering (``--log-level`` its severity floor), ``--jobs N`` prebuilds
-all datasets on N worker threads, ``--cache-dir DIR`` relocates the
-persistent dataset cache (default ``~/.cache/repro``), ``--no-cache``
-disables it for the run, and ``--strict`` fails fast on a dataset build
-error instead of degrading (the CLI is lenient by default; see
-``docs/RELIABILITY.md``).
+rendering (``--log-level`` its severity floor), ``--cache-dir DIR``
+relocates the persistent dataset cache (default ``~/.cache/repro``),
+``--no-cache`` disables it for the run, and ``--strict`` fails fast on
+a dataset build error instead of degrading (the CLI is lenient by
+default; see ``docs/RELIABILITY.md``).
 """
 
 from __future__ import annotations
@@ -56,22 +55,18 @@ def _resolve_cache(args: argparse.Namespace):
 
 
 def _scenario(args: argparse.Namespace, **params: int) -> Scenario:
-    """A Scenario honouring the global cache/parallelism/strictness flags.
+    """A Scenario honouring the global cache/strictness flags.
 
-    With ``--jobs N>1`` every dataset is prebuilt on the pool up front
-    (lazy access afterwards is a dict hit); otherwise datasets stay lazy
-    and build serially on first touch.  CLI scenarios are lenient unless
-    ``--strict``: a failing dataset degrades (reports annotate coverage)
-    instead of crashing the command.
+    Datasets stay lazy and build on first touch, so a command pays only
+    for what it reads.  CLI scenarios are lenient unless ``--strict``: a
+    failing dataset degrades (reports annotate coverage) instead of
+    crashing the command.
     """
-    scenario = Scenario(
+    return Scenario(
         cache=_resolve_cache(args),
         strict=getattr(args, "strict", False),
         **params,
     )
-    if args.jobs > 1:
-        scenario.build_all(max_workers=args.jobs)
-    return scenario
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -257,11 +252,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.pool import ScenarioPool
 
     cache = _resolve_cache(args)
-    pool = ScenarioPool(cache=cache, build_workers=args.jobs, strict=args.strict)
+    pool = ScenarioPool(cache=cache, strict=args.strict)
     context = ServeContext(pool=pool, params={})
     store = None
     if args.workers > 1:
-        store = build_artifact_store(context, workers=args.jobs)
+        store = build_artifact_store(context)
         print(
             f"artifact plane sealed: {len(store)} responses, "
             f"{store.total_bytes} bytes, fingerprint {store.fingerprint()[:12]}",
@@ -301,7 +296,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 server,
                 args.ingest_dir,
                 cache=cache,
-                jobs=args.jobs,
                 strict=args.strict,
                 max_backlog=args.ingest_max_backlog,
             )
@@ -329,7 +323,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         strict=args.strict,
     )
     with trace_span("stats.scenario.build"):
-        scenario.build_all(max_workers=args.jobs)
+        scenario.build_all()
     run_all(scenario)
 
     print(render_timer_group("dataset builds", "scenario.build."))
@@ -367,7 +361,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scenario = Scenario(
             cache=_resolve_cache(args), strict=args.strict, **params
         )
-        scenario.build_all(max_workers=args.jobs)
+        scenario.build_all()
         run_all(scenario)
     result = profiler.result()
 
@@ -473,11 +467,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 "gpdns_samples_per_month": args.gpdns_samples_per_month,
             }
             result = apply_ingest(
-                service,
-                _resolve_cache(args),
-                params,
-                jobs=args.jobs,
-                strict=args.strict,
+                service, _resolve_cache(args), params, strict=args.strict
             )
             print(
                 f"applied through seq {result.applied_seq}; artifact "
@@ -529,12 +519,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     # Chaos runs never consult the disk cache: a warm entry would mask
     # the injected build fault the drill exists to exercise.
-    report = run_chaos(
-        seed=args.seed,
-        specs=args.inject,
-        strict=args.strict,
-        jobs=args.jobs,
-    )
+    report = run_chaos(seed=args.seed, specs=args.inject, strict=args.strict)
     print(report.render())
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n")
@@ -591,14 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["debug", "info", "warning", "error"],
         default="info",
         help="minimum severity emitted by the structured logger",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="prebuild all scenario datasets on N worker threads "
-        "(dependency-aware; 1 = lazy serial builds)",
     )
     parser.add_argument(
         "--cache-dir",

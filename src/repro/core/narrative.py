@@ -4,6 +4,11 @@ The paper's introduction summarises the crisis's network impact in four
 bullets (infrastructure, interdomain connectivity, access performance).
 This module regenerates those sentences from the scenario's own data, so
 every number in the narrative is measured, not quoted.
+
+Degradation (see ``docs/RELIABILITY.md``): a finding whose dataset
+degraded in lenient mode reads ``degraded: dataset '<name>' unavailable
+(<reason>)`` instead of raising, as a degraded exhibit does in the
+report.
 """
 
 from __future__ import annotations
@@ -11,8 +16,11 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 from repro.core import shared
+from repro.core.degrade import DatasetDegradedError
+from repro.core.report import degraded_note
 from repro.core.scenario import Scenario
 from repro.registry.address_plan import AS_CANTV
 from repro.timeseries.month import Month
@@ -110,13 +118,29 @@ def dns_finding(scenario: Scenario) -> Finding:
     return Finding("dns", text)
 
 
+def _finding_or_placeholder(
+    scenario: Scenario, finding: Callable[[Scenario], Finding]
+) -> Finding:
+    """*finding* computed, or its ``degraded:`` placeholder."""
+    try:
+        return finding(scenario)
+    except DatasetDegradedError as err:
+        return Finding(finding.__name__.removesuffix("_finding"), degraded_note(err))
+
+
 def all_findings(scenario: Scenario) -> list[Finding]:
     """Every computed finding, in the paper's presentation order.
 
-    Each finding is memoized on the scenario (:meth:`Scenario.derive`).
+    Each finding is memoized on the scenario (:meth:`Scenario.derive`),
+    a degradation placeholder too: it carries the reads that raised, so
+    a world that inherits from this one recomputes it once the dataset
+    is rebuilt.
     """
     return [
-        scenario.derive(("finding", finding.__name__), partial(finding, scenario))
+        scenario.derive(
+            ("finding", finding.__name__),
+            partial(_finding_or_placeholder, scenario, finding),
+        )
         for finding in (
             infrastructure_finding,
             interdomain_finding,

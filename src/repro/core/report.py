@@ -29,6 +29,11 @@ def is_degraded(exhibit: Exhibit) -> bool:
     return exhibit.notes.startswith(DEGRADED_NOTE_PREFIX)
 
 
+def degraded_note(err: DatasetDegradedError) -> str:
+    """The ``degraded:`` text a placeholder carries for *err*."""
+    return f"{DEGRADED_NOTE_PREFIX} dataset {err.name!r} unavailable ({err.reason})"
+
+
 def run_exhibit(scenario: Scenario, exhibit_id: str) -> Exhibit:
     """One exhibit of a scenario, computed on its first request.
 
@@ -52,7 +57,7 @@ def run_exhibit(scenario: Scenario, exhibit_id: str) -> Exhibit:
                 exhibit_id=exhibit_id,
                 title=_placeholder_title(exhibit_id),
                 rows=[],
-                notes=f"{DEGRADED_NOTE_PREFIX} dataset {err.name!r} unavailable ({err.reason})",
+                notes=degraded_note(err),
             )
         get_registry().counter("exhibit.runs").inc()
         return exhibit

@@ -7,10 +7,12 @@ is seeded: two scenarios built with the same parameters are identical.
 Materialisation is thread-safe: each dataset is guarded by its own
 per-scenario lock and a double-checked materialised dict, so eight
 threads racing on one property build it exactly once and all receive
-the same object.  ``build_all(max_workers=N)`` exploits that by
-scheduling independent datasets onto a thread pool via
-:mod:`repro.exec.executor`, and an optional :class:`repro.exec.cache.DatasetCache`
-short-circuits builds entirely from a persistent on-disk store.
+the same object.  That matters because one world is reached from
+several threads (the server's live-path pool, the ingest apply thread,
+:meth:`Scenario.inherit`); builds themselves run serially
+(:meth:`Scenario.build_all`), and an optional
+:class:`repro.exec.cache.DatasetCache` short-circuits them entirely
+from a persistent on-disk store.
 Values computed from the datasets (each exhibit, each scorecard panel,
 the intermediates they share) go through :meth:`Scenario.derive`, the
 same locking over a separate memo, so one scenario computes each of
@@ -408,9 +410,9 @@ class Scenario:
         """Build dataset *name*; returns its value or degradation sentinel.
 
         Unlike property access this never raises on a degraded dataset,
-        which is what bulk builders (``build_all``, the parallel
-        executor) need: one bad dataset must not abort the sweep.  In
-        strict mode a build failure still propagates.
+        which is what :meth:`build_all` needs: one bad dataset must not
+        abort the sweep.  In strict mode a build failure still
+        propagates.
         """
         try:
             return getattr(self, name)
@@ -549,25 +551,11 @@ class Scenario:
 
     # -- whole-world construction --------------------------------------------
 
-    def build_all(self, max_workers: int | None = None) -> list[str]:
-        """Materialise every dataset; returns the names, definition order.
-
-        Args:
-            max_workers: ``None`` or ``1`` builds serially in definition
-                order (the historical behaviour); ``2+`` schedules
-                independent datasets onto a thread pool via
-                :func:`repro.exec.executor.build_parallel`.  Either way
-                the resulting datasets are identical — generators are
-                deterministic and share no state.
-        """
+    def build_all(self) -> list[str]:
+        """Materialise every dataset, serially; returns the names, definition order."""
         names = dataset_names()
-        if max_workers is not None and max_workers > 1:
-            from repro.exec.executor import build_parallel
-
-            build_parallel(self, max_workers=max_workers)
-        else:
-            for name in names:
-                self.materialise(name)
+        for name in names:
+            self.materialise(name)
         return names
 
 

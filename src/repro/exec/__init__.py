@@ -1,22 +1,21 @@
-"""repro.exec: dependency-aware parallel builds and a persistent dataset cache.
-
-Two pieces, composable but independent:
+"""repro.exec: the dataset dependency graph and a persistent dataset cache.
 
 * :mod:`repro.exec.dag` -- the explicit dependency graph over
   ``Scenario`` datasets.  Most datasets are roots; the three derived ones
   (``chaos_observations``, ``offnets``, ``gpdns_traceroutes``) declare
-  their parents here, so a scheduler can build independent datasets
-  concurrently and a cache key can fold in the code of everything a
+  their parents here, so ``Scenario.inherit`` can take datasets in
+  dependency order and a cache key can fold in the code of everything a
   dataset was derived from.
 * :mod:`repro.exec.cache` -- a content-keyed on-disk cache
   (``~/.cache/repro`` by default) that round-trips built datasets through
   a versioned, checksummed pickle envelope.  Corrupt entries are
   quarantined (renamed, never trusted) and rebuilt.
-* :mod:`repro.exec.executor` -- topological scheduling of dataset builds
-  onto a ``ThreadPoolExecutor``; ``Scenario.build_all(max_workers=N)``
-  delegates here.
 * :mod:`repro.exec.retry` -- bounded exponential backoff with
   deterministic jitter for dataset builds (see ``docs/RELIABILITY.md``).
+
+Every build is serial: ``Scenario.build_all()`` materialises the
+datasets one after another (threads only contend for the GIL over
+these pure-Python generators; see ``docs/PERFORMANCE.md``).
 
 See ``docs/PERFORMANCE.md`` for the build DAG, the cache key scheme, and
 invalidation rules.
@@ -32,12 +31,10 @@ from repro.exec.dag import (
     DATASET_DEPS,
     code_fingerprint,
     dependencies,
-    dependents,
     topological_order,
     transitive_dependencies,
     validate_graph,
 )
-from repro.exec.executor import build_parallel, parallel_map
 from repro.exec.retry import DEFAULT_RETRY, NO_RETRY, RetryPolicy, retry_call
 
 __all__ = [
@@ -48,12 +45,9 @@ __all__ = [
     "DatasetCache",
     "NO_RETRY",
     "RetryPolicy",
-    "build_parallel",
     "code_fingerprint",
     "default_cache_dir",
     "dependencies",
-    "dependents",
-    "parallel_map",
     "retry_call",
     "topological_order",
     "transitive_dependencies",

@@ -4,14 +4,12 @@
 independent roots, while ``chaos_observations`` reads ``probes`` and
 ``root_deployment``, ``offnets`` reads ``populations``, and
 ``gpdns_traceroutes`` reads ``probes``.  That structure was previously
-implicit in the property bodies; declaring it here lets the parallel
-executor schedule independent builds concurrently and lets the disk
+implicit in the property bodies; declaring it here lets
+``Scenario.inherit`` take datasets in dependency order and lets the disk
 cache key a dataset on the code of everything it was derived from.
 
-Keeping the declaration in sync with the properties is enforced two
-ways: :func:`validate_graph` cross-checks against
-``repro.core.scenario.dataset_names`` (and the test suite calls it), and
-the executor refuses to schedule a dataset the graph does not know.
+:func:`validate_graph` cross-checks the declaration against
+``repro.core.scenario.dataset_names`` (and the test suite calls it).
 """
 
 from __future__ import annotations
@@ -89,12 +87,6 @@ def dependencies(name: str) -> tuple[str, ...]:
         raise DependencyGraphError(
             f"unknown dataset {name!r}; known: {sorted(DATASET_DEPS)}"
         ) from None
-
-
-def dependents(name: str) -> tuple[str, ...]:
-    """Datasets whose builders read *name*, in declaration order."""
-    dependencies(name)  # raise on unknown
-    return tuple(d for d, deps in DATASET_DEPS.items() if name in deps)
 
 
 def transitive_dependencies(name: str) -> tuple[str, ...]:

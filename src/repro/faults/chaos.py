@@ -142,7 +142,6 @@ def run_chaos(
     specs: tuple[str, ...] | list[str] | None = None,
     *,
     strict: bool = False,
-    jobs: int = 1,
     ndt_tests_per_month: int = 40,
     gpdns_samples_per_month: int = 2,
 ) -> ChaosReport:
@@ -156,7 +155,6 @@ def run_chaos(
             :data:`DEFAULT_SPECS`.
         strict: Propagate the first injected failure instead of
             degrading (exercises the ``--strict`` escape hatch).
-        jobs: Scenario build parallelism.
         ndt_tests_per_month: Scenario size knob, passed through.
         gpdns_samples_per_month: Scenario size knob, passed through.
 
@@ -174,7 +172,7 @@ def run_chaos(
         strict=strict,
         fault_plan=plan,
     )
-    scenario.build_all(max_workers=jobs)
+    scenario.build_all()
 
     degraded = {d.name: d for d in scenario.degraded()}
     datasets = [

@@ -300,10 +300,20 @@ def apply_ingest(
     that read only those, so the apply computes only what the append
     touched.  The result is byte-identical either way.  Timed into
     ``ingest.apply``.
+
+    *jobs* accepts only 1 (the apply is serial).  It stays while the
+    benchmark harness (``perfbench/``) still passes ``jobs=1``; a later
+    change to the benchmark drops that argument, and this keyword goes
+    with it.
+
+    Raises:
+        ValueError: *jobs* is not 1.
     """
+    if jobs != 1:
+        raise ValueError(f"the apply is serial: jobs must be 1, got {jobs!r}")
     return timed(
         "ingest.apply",
-        lambda: _apply(service, cache, params, jobs, strict, previous),
+        lambda: _apply(service, cache, params, strict, previous),
     )
 
 
@@ -311,7 +321,6 @@ def _apply(
     service: IngestService,
     cache: "DatasetCache | None",
     params: dict[str, object],
-    jobs: int,
     strict: bool,
     previous: "Scenario | None",
 ) -> ApplyResult:
@@ -330,7 +339,7 @@ def _apply(
     )
     if previous is not None:
         scenario.inherit(previous)
-    scenario.build_all(max_workers=jobs)
+    scenario.build_all()
     # Datasets rebuilt (dirty shards merged); the serving surface is not.
     maybe_crash("mid-rebuild")
 
@@ -340,7 +349,7 @@ def _apply(
         pool_params["overlay"] = overlay
     pool.seed(scenario, **pool_params)
     context = ServeContext(pool=pool, params=pool_params)
-    store = build_artifact_store(context, workers=jobs)
+    store = build_artifact_store(context)
     # Store sealed; neither the checkpoint nor any swap has happened.
     maybe_crash("mid-swap")
 

@@ -31,7 +31,6 @@ schemas.
 
 from repro.obs.context import (
     TraceContext,
-    ambient_scope,
     current_context,
     new_request_id,
     new_span_id,
@@ -81,7 +80,6 @@ from repro.obs.slo import DEFAULT_SLOS, SLODefinition, SLOTracker
 from repro.obs.tracing import (
     SpanRecord,
     Tracer,
-    current_handle,
     enable_tracing,
     get_tracer,
     trace_span,
@@ -106,11 +104,9 @@ __all__ = [
     "Timer",
     "TraceContext",
     "Tracer",
-    "ambient_scope",
     "configure_logging",
     "counting",
     "current_context",
-    "current_handle",
     "enable_tracing",
     "get_logger",
     "get_registry",

@@ -5,8 +5,9 @@ against the baseline committed in the repo (``BENCH_scenario.json``,
 ``BENCH_serve.json``) and fails when any gated metric regresses past a
 tolerance.  Both artifact families are understood:
 
-* ``repro.bench/1`` (scenario builds) — the four build-path timings,
-  where **lower is better**.
+* ``repro.bench/1`` (scenario builds) — the three build-path timings
+  (serial cold, cold filling the cache, warm), where **lower is
+  better**.
 * ``repro.bench.serve/1`` (serving layer) — warm-phase throughput
   (**higher is better**) and warm latency percentiles (**lower is
   better**).  The cold phase is deliberately ungated: its first-contact
@@ -59,7 +60,7 @@ def extract_gate_metrics(artifact: dict) -> dict[str, tuple[float, str]]:
     schema = artifact.get("schema")
     metrics: dict[str, tuple[float, str]] = {}
     if schema == "repro.bench/1":
-        for path_name in ("serial_cold", "parallel_cold", "store", "warm"):
+        for path_name in ("serial_cold", "store", "warm"):
             value = _dig(artifact, "timings_seconds", path_name, "min")
             if isinstance(value, (int, float)):
                 metrics[f"timings_seconds.{path_name}.min"] = (float(value), LOWER)

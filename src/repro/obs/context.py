@@ -8,8 +8,8 @@ recorded even when global tracing is off), and the correlation
 ``X-Request-Id`` response header.
 
 The context travels in a :mod:`contextvars` variable, so it follows the
-logical request: handlers, pool builds on the same thread, and — via
-:func:`ambient_scope` — worker threads the executor fans builds out to.
+logical request: handlers and the scenario work they run on the same
+thread.
 
 Wire format (https://www.w3.org/TR/trace-context/)::
 
@@ -196,25 +196,3 @@ def use_context(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
         yield ctx
     finally:
         _CURRENT.reset(token)
-
-
-@contextmanager
-def ambient_scope(handle: "tuple[str, str, bool] | None") -> Iterator[None]:
-    """Adopt a ``(trace_id, span_id, sampled)`` handle on another thread.
-
-    The executor captures :func:`repro.obs.tracing.current_handle` on
-    the submitting thread and wraps each worker-side build in this scope,
-    so dataset-build spans parent onto the submitter's span even though
-    they run on pool threads.
-    """
-    if handle is None:
-        yield
-        return
-    trace_id, span_id, sampled = handle
-    ctx = current_context()
-    if ctx is not None and ctx.trace_id == trace_id:
-        ctx = ctx.child(span_id)
-    else:
-        ctx = TraceContext(trace_id=trace_id, span_id=span_id, sampled=sampled)
-    with use_context(ctx):
-        yield

@@ -26,7 +26,6 @@ _NAME_RE = re.compile(rf"^{_SEGMENT}(\.{_SEGMENT})+$")
 SCENARIO_BUILD_PREFIX = "scenario.build."
 EXHIBIT_RUN_PREFIX = "exhibit.run."
 SCENARIO_CACHE_PREFIX = "scenario.cache."
-EXEC_WORKER_PREFIX = "exec.worker_"
 SERVE_REQUEST_PREFIX = "serve.request."
 #: Reliability families (see ``docs/RELIABILITY.md``): per-parser
 #: quarantine counters, build retries, and injected faults.

@@ -21,9 +21,7 @@ Spans are **distributed-trace shaped** (v2): every recorded span carries
 a W3C trace id, its own span id, and its parent's span id.  Parentage
 comes from the per-thread span stack when one is open, falling back to
 the ambient trace context — which is how a request's spans link across
-the serve router, the scenario pool, and executor worker threads (the
-executor hands :func:`current_handle` to workers via
-:func:`repro.obs.context.ambient_scope`).
+the serve router, its handler thread and the scenario pool.
 
 Finished spans land in a single process-wide list (lock-protected,
 bounded) ordered for rendering; :meth:`Tracer.take_trace` extracts one
@@ -289,26 +287,6 @@ def trace_span(name: str) -> "_Span | _NullSpan":
         if ctx is None or not ctx.sampled:
             return _NULL_SPAN
     return _Span(_TRACER, name)
-
-
-def current_handle() -> tuple[str, str, bool] | None:
-    """The ``(trace_id, span_id, sampled)`` handle for cross-thread handoff.
-
-    The innermost open span on this thread wins; otherwise the ambient
-    context; otherwise — with global tracing on — the session trace.
-    Returns None when nothing is recording, so the executor's handoff is
-    free in the common untraced case.
-    """
-    stack = _TRACER._stack()
-    if stack:
-        top = stack[-1]
-        return (top._trace_id, top._span_id, top._sampled)
-    ctx = current_context()
-    if ctx is not None and (ctx.sampled or _TRACER.enabled):
-        return (ctx.trace_id, ctx.span_id, ctx.sampled)
-    if _TRACER.enabled:
-        return (_TRACER.trace_id, "", False)
-    return None
 
 
 def traced(fn: F | None = None, *, name: str | None = None) -> F:

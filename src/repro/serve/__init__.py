@@ -13,8 +13,9 @@ path.  The pieces, smallest first:
   :class:`~repro.core.scenario.Scenario` per parameter set, shared
   across request threads and built before the server listens.
 * :mod:`repro.serve.artifacts` -- the static response surface (59
-  responses), rendered one at a time or sealed whole into an immutable
-  :class:`ArtifactStore`; each response is addressed by its SHA-256.
+  responses), rendered one at a time or sealed whole (one serial loop)
+  into an immutable :class:`ArtifactStore`; each response is addressed
+  by its SHA-256.
 * :mod:`repro.serve.server` -- :class:`~repro.serve.server.ServingSurface`,
   one serving generation: context, artifact plane and wire table.
 * :mod:`repro.serve.handlers` -- the endpoint implementations:
@@ -31,7 +32,7 @@ Entry points: ``python -m repro serve`` (CLI) or, embedded::
 
     from repro.serve import create_aio_server, run_aio
 
-    run_aio(create_aio_server(port=8321, jobs=4))   # seals, then serves
+    run_aio(create_aio_server(port=8321))   # seals, then serves
 
 See ``docs/SERVING.md`` for endpoint shapes, the plane rule, and tuning
 guidance.

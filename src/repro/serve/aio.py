@@ -786,8 +786,9 @@ class AioServer:
                 )
             )
         except DatasetDegradedError as err:
-            # Endpoints that can annotate coverage (report, scorecard)
-            # never raise this; the rest degrade to a structured 503.
+            # Every static endpoint annotates degradation instead (report
+            # and scorecard coverage, exhibit and narrative placeholders);
+            # this guards any handler that does not with a structured 503.
             return _error(
                 HTTPError(
                     503, f"dataset {err.name!r} unavailable: {err.reason}",
@@ -1098,7 +1099,6 @@ def create_aio_server(
     host: str = "127.0.0.1",
     port: int = 0,
     cache=None,
-    jobs: int = 1,
     params: dict[str, object] | None = None,
     verbose: bool = False,
     strict: bool = False,
@@ -1121,10 +1121,10 @@ def create_aio_server(
     from repro.serve.pool import ScenarioPool
 
     if context is None:
-        pool = ScenarioPool(cache=cache, build_workers=jobs, strict=strict)
+        pool = ScenarioPool(cache=cache, strict=strict)
         context = ServeContext(pool=pool, params=dict(params or {}))
     if artifacts is None:
-        artifacts = build_artifact_store(context, workers=jobs)
+        artifacts = build_artifact_store(context)
     return AioServer(
         context,
         artifacts,

@@ -252,25 +252,25 @@ def build_artifact_store(
     """Materialise the full static response surface for *context*.
 
     Builds the scenario first if the pool is cold, then renders every
-    static endpoint with :func:`render_artifact` — in parallel on
-    *workers* threads via the executor's :func:`repro.exec.parallel_map`
-    when asked — and seals the result.
+    static endpoint with :func:`render_artifact`, one after another, and
+    seals the result.
 
     Args:
         context: The server's shared context (pool + scenario params).
-        workers: Threads for the render fan-out; 1 renders serially.
-    """
-    from repro.exec import parallel_map
+        workers: Accepts only 1.  It stays while the benchmark harness
+            (``perfbench/``) still passes ``workers=1``; a later change
+            to the benchmark drops that argument, and this keyword goes
+            with it.
 
+    Raises:
+        ValueError: *workers* is not 1.
+    """
+    if workers != 1:
+        raise ValueError(f"renders are serial: workers must be 1, got {workers!r}")
     registry = get_registry()
     with registry.timer("serve.artifacts.build").time():
-        context.scenario()  # warm the pool before fanning out renders
-        artifacts = parallel_map(
-            lambda spec: render_artifact(context, *spec),
-            static_surface(),
-            max_workers=workers,
-            label="serve.artifacts.build",
-        )
+        context.scenario()  # build first: the render timers then time renders only
+        artifacts = [render_artifact(context, *spec) for spec in static_surface()]
     store = ArtifactStore(artifacts)
     registry.gauge("serve.artifacts.count").set(len(store))
     registry.gauge("serve.artifacts.bytes").set(store.total_bytes)

@@ -62,13 +62,11 @@ class ServeIngestor:
         server: "AioServer",
         service: IngestService,
         cache: "DatasetCache | None" = None,
-        jobs: int = 1,
         strict: bool = False,
     ) -> None:
         self.server = server
         self.service = service
         self.cache = cache
-        self.jobs = jobs
         self.strict = strict
         self._apply_lock = threading.Lock()
         #: Guards ``_wakeup`` and ``_thread`` together: whether the apply
@@ -128,7 +126,6 @@ class ServeIngestor:
                 self.service,
                 self.cache,
                 base_params,
-                jobs=self.jobs,
                 strict=self.strict,
                 # Before start() the pool is cold: recovery inherits nothing.
                 previous=old.context.pool.peek(**old.context.params),
@@ -204,7 +201,6 @@ def enable_ingest(
     server: "AioServer",
     ingest_dir: Path | str,
     cache: "DatasetCache | None" = None,
-    jobs: int = 1,
     strict: bool = False,
     max_backlog: int | None = None,
 ) -> ServeIngestor:
@@ -225,7 +221,7 @@ def enable_ingest(
         max_backlog=max_backlog if max_backlog is not None else DEFAULT_MAX_BACKLOG,
         strict=strict,
     )
-    ingestor = ServeIngestor(server, service, cache=cache, jobs=jobs, strict=strict)
+    ingestor = ServeIngestor(server, service, cache=cache, strict=strict)
     server.context.ingest = ingestor
     if service.backlog() > 0:
         ingestor.apply_now()

@@ -1,13 +1,13 @@
 """One warm scenario per parameter set, shared by every request.
 
 The first :meth:`ScenarioPool.get` for a parameter set constructs and
-prebuilds its :class:`~repro.core.scenario.Scenario` --
-``build_all(max_workers=build_workers)``, backed by the optional
-persistent :class:`repro.exec.cache.DatasetCache`, under the
-``serve.pool.build`` timer -- and every later call returns the same
-object.  The build runs under the pool's lock, so concurrent callers
-share one build.  A failed build stores nothing: its caller gets the
-exception and the next caller builds again.
+prebuilds its :class:`~repro.core.scenario.Scenario` -- a serial
+``build_all()``, backed by the optional persistent
+:class:`repro.exec.cache.DatasetCache`, under the ``serve.pool.build``
+timer -- and every later call returns the same object.  The build runs
+under the pool's lock, so concurrent callers share one build.  A failed
+build stores nothing: its caller gets the exception and the next caller
+builds again.
 
 No request pays that build: :meth:`repro.serve.aio.AioServer.start`
 builds the world before it listens, ``repro serve --workers N`` and
@@ -33,8 +33,6 @@ class ScenarioPool:
     Attributes:
         cache: Optional persistent dataset cache every pooled scenario
             builds through.
-        build_workers: ``max_workers`` for the prebuild; 1 builds the
-            datasets serially (identical output either way).
         strict: Scenario strictness for pooled builds.  ``False`` (the
             serving default) lets individual datasets degrade instead of
             failing the whole build; ``True`` restores fail-fast.
@@ -43,11 +41,9 @@ class ScenarioPool:
     def __init__(
         self,
         cache: "DatasetCache | None" = None,
-        build_workers: int = 1,
         strict: bool = False,
     ) -> None:
         self.cache = cache
-        self.build_workers = build_workers
         self.strict = strict
         self._lock = threading.Lock()
         self._scenarios: dict[tuple, Scenario] = {}
@@ -80,5 +76,5 @@ class ScenarioPool:
         scenario = Scenario(
             cache=self.cache, strict=self.strict, **params  # type: ignore[arg-type]
         )
-        scenario.build_all(max_workers=self.build_workers)
+        scenario.build_all()
         return scenario

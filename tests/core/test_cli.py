@@ -242,14 +242,11 @@ def test_no_cache_flag_skips_the_cache(tmp_path, capsys):
     assert not cache_dir.exists()
 
 
-def test_jobs_flag_prebuilds_in_parallel(capsys):
-    from repro.obs import get_registry
-
-    assert main(["--no-cache", "--jobs", "4", "exhibit", "fig01"]) == 0
-    registry = get_registry()
-    assert registry.counter("scenario.dataset.built").value == 16
-    assert registry.gauge("exec.workers.max").value == 4.0
-    assert "FIG01" in capsys.readouterr().out
+def test_there_is_no_jobs_flag():
+    # Builds are serial; a build thread count is a usage error.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--jobs", "4", "report"])
+    assert excinfo.value.code == 2
 
 
 def test_trace_flag_records_spans(capsys):

@@ -40,6 +40,15 @@ def test_strict_default_propagates_the_build_error():
     assert not isinstance(excinfo.value, DatasetDegradedError)
 
 
+def test_strict_build_all_propagates_the_build_error(monkeypatch):
+    def boom():
+        raise RuntimeError("generator exploded")
+
+    monkeypatch.setattr("repro.core.scenario.synthesize_macro", boom)
+    with pytest.raises(RuntimeError, match="generator exploded"):
+        Scenario(**SMALL).build_all()
+
+
 def test_lenient_access_raises_dataset_degraded():
     scenario = _degraded_scenario()
     with pytest.raises(DatasetDegradedError) as excinfo:

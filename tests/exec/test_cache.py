@@ -4,7 +4,9 @@ import pickle
 
 import pytest
 
+import repro.obs
 from repro.core import Scenario
+from repro.core.scenario import dataset_names
 from repro.exec import DatasetCache, default_cache_dir
 from repro.exec.cache import CacheMiss
 from repro.obs import get_registry
@@ -214,6 +216,21 @@ def test_scenario_build_records_hit_miss_and_corrupt_counters(tmp_path):
     healed = Scenario(cache=cache)
     assert pickle.dumps(healed.macro) == pickle.dumps(rebuilt.macro)
     assert registry.counter("scenario.cache.hit").value == 2
+
+
+def test_warm_build_all_builds_nothing(tmp_path):
+    cache = DatasetCache(tmp_path / "c")
+    small = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
+    Scenario(cache=cache, **small).build_all()
+    assert get_registry().counter("scenario.cache.store").value == 16
+
+    repro.obs.reset()
+    warm = Scenario(cache=cache, **small)
+    warm.build_all()
+    registry = get_registry()
+    assert registry.counter("scenario.cache.hit").value == 16
+    assert registry.counter("scenario.dataset.built").value == 0
+    assert set(warm._materialised) == set(dataset_names())
 
 
 def test_cached_dataset_equals_built_dataset(tmp_path):

@@ -9,7 +9,6 @@ from repro.exec.dag import (
     DependencyGraphError,
     code_fingerprint,
     dependencies,
-    dependents,
     topological_order,
     transitive_dependencies,
     validate_graph,
@@ -33,17 +32,9 @@ def test_declared_edges_match_property_bodies():
     assert len(roots) == 13
 
 
-def test_dependents_inverts_dependencies():
-    assert set(dependents("probes")) == {"chaos_observations", "gpdns_traceroutes"}
-    assert dependents("populations") == ("offnets",)
-    assert dependents("chaos_observations") == ()
-
-
 def test_unknown_dataset_raises():
     with pytest.raises(DependencyGraphError):
         dependencies("nope")
-    with pytest.raises(DependencyGraphError):
-        dependents("nope")
 
 
 def test_topological_order_is_complete_and_sorted():

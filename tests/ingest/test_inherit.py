@@ -182,19 +182,24 @@ def fresh_chain(cache, chain_batches, tmp_path_factory):
         service.wal.close()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 def test_chained_inheriting_applies_equal_fresh_ones(
-    jobs, served, cache, chain_batches, fresh_chain, open_service
+    served, cache, chain_batches, fresh_chain, open_service
 ):
     world = served[0]
     service = open_service()
     for (format_name, lines, meta), expected in zip(chain_batches, fresh_chain):
         service.submit(format_name, lines, meta)
         result = apply_ingest(
-            service, cache, dict(SMALL), jobs=jobs, strict=False, previous=world
+            service, cache, dict(SMALL), strict=False, previous=world
         )
         assert result.fingerprints() == expected
         world = result.scenario
+
+
+def _degraded_findings(store) -> list[str]:
+    """Topics of the ``/v1/narrative`` findings that are placeholders."""
+    findings = json.loads(store.get("/v1/narrative").body)["data"]["findings"]
+    return [f["topic"] for f in findings if f["text"].startswith("degraded:")]
 
 
 def test_a_degraded_dataset_is_rebuilt_and_its_readers_recomputed(
@@ -204,16 +209,30 @@ def test_a_degraded_dataset_is_rebuilt_and_its_readers_recomputed(
         raise OSError("cable map unavailable")
 
     # No cache: the cached cable map would never reach the generator.
-    # The world serves what annotates coverage (its report, a scorecard).
+    # The world seals its whole plane, annotating what read the cables.
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.scenario.synthesize_cable_map", broken)
         world = Scenario(strict=False, retry=RetryPolicy(attempts=1), **SMALL)
         world.build_all()
         assert "COVERAGE: 15/16" in render_report(world)
         assert build_scorecard(world, "VE").degraded_panels == 1
+        pool = ScenarioPool()
+        pool.seed(world, **SMALL)
+        store = build_artifact_store(ServeContext(pool=pool, params=dict(SMALL)))
+        # An apply that still cannot build the cables seals around them.
+        degraded_service = open_service("degraded-wal")
+        degraded_service.submit("ndt", _ndt_batch())
+        still = apply_ingest(
+            degraded_service, None, dict(SMALL), strict=False, previous=world
+        )
     assert [d.name for d in world.degraded()] == ["cables"]
     # The scorecard panel read cables through a derive that raised.
     assert world._derived[("scorecard", "submarine cables")][1] == {"cables"}
+    assert len(store) == 59
+    assert _degraded_findings(store) == ["infrastructure"]
+    assert [d.name for d in still.scenario.degraded()] == ["cables"]
+    assert len(still.store) == 59
+    assert _degraded_findings(still.store) == ["infrastructure"]
 
     service = open_service()
     service.submit("ndt", _ndt_batch())
@@ -226,6 +245,7 @@ def test_a_degraded_dataset_is_rebuilt_and_its_readers_recomputed(
     assert get_registry().counter("scenario.dataset.inherited").value == 14
     scorecard = json.loads(inherited.store.get("/v1/scorecard/VE").body)["data"]
     assert "degraded" not in scorecard
+    assert _degraded_findings(inherited.store) == []
 
     fresh = apply_ingest(service, cache, dict(SMALL), strict=False)
     assert inherited.fingerprints() == fresh.fingerprints()

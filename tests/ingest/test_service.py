@@ -8,6 +8,7 @@ from repro.ingest.service import (
     IngestBacklogError,
     IngestService,
     IngestValidationError,
+    apply_ingest,
 )
 from repro.mlab.ndt import NDTResult
 from repro.obs import get_registry
@@ -120,3 +121,12 @@ def test_overlay_matches_submissions(open_service):
     service.submit("ndt", _lines(country="BR"))
     overlay = service.overlay()
     assert overlay.summary() == {"ndt_tests": ["2024-02.BR", "2024-02.VE"]}
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_the_apply_accepts_only_one_job(open_service, jobs):
+    service = open_service()
+    service.submit("ndt", _lines())
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        apply_ingest(service, None, {}, jobs=jobs)
+    assert service.backlog() == 1  # nothing was applied

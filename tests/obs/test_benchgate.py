@@ -20,7 +20,6 @@ SCENARIO_BENCH = {
     "schema": "repro.bench/1",
     "timings_seconds": {
         "serial_cold": {"rounds": 3, "min": 2.0, "mean": 2.1},
-        "parallel_cold": {"rounds": 3, "min": 1.2, "mean": 1.3},
         "store": {"rounds": 3, "min": 0.4, "mean": 0.5},
         "warm": {"rounds": 3, "min": 0.05, "mean": 0.06},
     },
@@ -47,7 +46,6 @@ def test_extract_scenario_metrics():
     metrics = extract_gate_metrics(SCENARIO_BENCH)
     assert metrics == {
         "timings_seconds.serial_cold.min": (2.0, LOWER),
-        "timings_seconds.parallel_cold.min": (1.2, LOWER),
         "timings_seconds.store.min": (0.4, LOWER),
         "timings_seconds.warm.min": (0.05, LOWER),
     }

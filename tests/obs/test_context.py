@@ -4,7 +4,6 @@ import threading
 
 from repro.obs.context import (
     TraceContext,
-    ambient_scope,
     current_context,
     new_request_id,
     new_span_id,
@@ -151,37 +150,3 @@ def test_use_context_installs_and_restores():
     assert current_context() is None
 
 
-def test_ambient_scope_adopts_handle_on_other_thread():
-    seen: list[TraceContext | None] = []
-    handle = ("ab" * 16, "cd" * 8, True)
-
-    def worker():
-        with ambient_scope(handle):
-            seen.append(current_context())
-        seen.append(current_context())
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    thread.join()
-    assert seen[0] is not None
-    assert seen[0].trace_id == "ab" * 16
-    assert seen[0].span_id == "cd" * 8
-    assert seen[0].sampled is True
-    assert seen[1] is None
-
-
-def test_ambient_scope_none_is_noop():
-    with ambient_scope(None):
-        assert current_context() is None
-
-
-def test_ambient_scope_reparents_within_same_trace():
-    base = start_request_context(sample_rate=1.0)
-    with use_context(base):
-        with ambient_scope((base.trace_id, "ee" * 8, True)):
-            inner = current_context()
-            assert inner is not None
-            assert inner.trace_id == base.trace_id
-            assert inner.span_id == "ee" * 8
-            # request id survives the re-parenting (same logical request)
-            assert inner.request_id == base.request_id

@@ -133,9 +133,9 @@ from repro.serve.handlers import ServeContext
 from repro.serve.pool import ScenarioPool
 
 params = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
-pool = ScenarioPool(build_workers=2)
+pool = ScenarioPool()
 context = ServeContext(pool=pool, params=params)
-store = build_artifact_store(context, workers=2)
+store = build_artifact_store(context)
 print("plane", json.dumps({a.path: a.sha256 for a in store}), flush=True)
 
 def make(sock):

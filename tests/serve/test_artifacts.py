@@ -136,3 +136,10 @@ def test_a_seal_computes_each_exhibit_and_scorecard_panel_once(
     assert runs.value - before == len(exhibit_ids())
     assert calls == {name: 1 for _, name in spied}
     assert store.fingerprint() == artifact_plane[1].fingerprint()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_the_seal_accepts_only_one_worker(artifact_plane, workers):
+    context, _store = artifact_plane
+    with pytest.raises(ValueError, match="workers must be 1"):
+        build_artifact_store(context, workers=workers)
