@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from repro.columnar import ASN_MAX
 from repro.obs import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,6 +120,8 @@ def parse_asrel(
 ) -> ASRelationshipSnapshot:
     """Parse a serial-1 AS-relationship file.
 
+    ASNs are 32-bit; a field outside ``0..2**32-1`` is a malformed line.
+
     Args:
         text: The serial-1 file contents.
         strict: ``True`` (default) raises on the first malformed line;
@@ -153,6 +156,8 @@ def parse_asrel(
                 ) from None
             if kind not in (P2C, P2P):
                 raise ASRelParseError(f"line {line_no}: bad relationship {kind}")
+            if not (0 <= a <= ASN_MAX and 0 <= b <= ASN_MAX):
+                raise ASRelParseError(f"line {line_no}: ASN out of range: {line!r}")
         except ASRelParseError as exc:
             if quarantine is None:
                 raise

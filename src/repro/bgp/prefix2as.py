@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from repro.columnar import ASN_MAX
 from repro.obs import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,7 +120,8 @@ def parse_prefix2as(
     """Parse the RouteViews tab-separated prefix2as format.
 
     Accepts underscore-joined multi-origin sets and comma-joined AS-sets;
-    both are normalised into the entry's ``origins`` tuple.
+    both are normalised into the entry's ``origins`` tuple.  Prefixes are
+    IPv4 and origins 32-bit ASNs; anything else is a malformed line.
 
     Args:
         text: The prefix2as file contents.
@@ -150,7 +152,7 @@ def parse_prefix2as(
                 )
             address, length, origin = fields
             try:
-                network = ipaddress.ip_network(f"{address}/{int(length)}")
+                network = ipaddress.IPv4Network(f"{address}/{int(length)}")
             except ValueError as exc:
                 raise Prefix2ASParseError(f"line {line_no}: {exc}") from None
             try:
@@ -159,12 +161,12 @@ def parse_prefix2as(
                     for chunk in origin.split("_")
                     for part in chunk.split(",")
                 )
+                if not all(0 <= asn <= ASN_MAX for asn in origins):
+                    raise ValueError(origin)
             except ValueError:
                 raise Prefix2ASParseError(
                     f"line {line_no}: bad origin {origin!r}"
                 ) from None
-            if not origins:
-                raise Prefix2ASParseError(f"line {line_no}: empty origin")
         except Prefix2ASParseError as exc:
             if quarantine is None:
                 raise

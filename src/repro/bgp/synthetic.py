@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.bgp.archive import ASRelArchive, Prefix2ASArchive
 from repro.bgp.asrel import P2C, P2P, ASRelationshipSnapshot, Relationship
@@ -113,6 +114,12 @@ _CANTV_CUSTOMERS: tuple[tuple[int, str, str | None], ...] = (
     (273100, "2023-02", None),         # late regional ISP
 )
 
+#: :data:`_CANTV_CUSTOMERS` with parsed months: (asn, start, end-or-None).
+_CUSTOMER_SPANS: tuple[tuple[int, Month, Month | None], ...] = tuple(
+    (asn, Month.parse(start), Month.parse(end) if end else None)
+    for asn, start, end in _CANTV_CUSTOMERS
+)
+
 #: A small static international backbone so the AS graph has realistic
 #: structure above CANTV's providers: a tier-1 clique plus second-tier links.
 _TIER1: tuple[int, ...] = (701, 1239, 1299, 3257, 3356, 6762, 7018, 2914, 6453)
@@ -169,10 +176,8 @@ def _snapshot_for(month: Month, archive_end: Month) -> ASRelationshipSnapshot:
     for provider in CANTV_TRANSIT_INTERVALS:
         if provider.active_in(month, archive_end):
             rels.append(Relationship(provider.asn, AS_CANTV, P2C))
-    for asn, start, end in _CANTV_CUSTOMERS:
-        starts = Month.parse(start)
-        ends = Month.parse(end) if end else archive_end
-        if starts <= month <= ends:
+    for asn, starts, ends in _CUSTOMER_SPANS:
+        if starts <= month <= (ends or archive_end):
             rels.append(Relationship(AS_CANTV, asn, P2C))
     # Telefonica de Venezuela homes to its parent's backbone throughout.
     rels.append(Relationship(12956, AS_TELEFONICA, P2C))
@@ -205,12 +210,19 @@ _TEF_WITHDRAW_MONTH = Month(2016, 6)
 _TEF_REANNOUNCE_MONTH = Month(2023, 6)
 
 
-def _subnets_17(cidr: str) -> list[str]:
+@lru_cache(maxsize=None)
+def _network(cidr: str) -> ipaddress.IPv4Network:
+    """The parsed block (each is announced in many monthly snapshots)."""
+    return ipaddress.IPv4Network(cidr)
+
+
+@lru_cache(maxsize=None)
+def _subnets_17(cidr: str) -> tuple[str, ...]:
     """All /17 subnets of a block (the block itself if already /17+)."""
-    network = ipaddress.ip_network(cidr)
+    network = _network(cidr)
     if network.prefixlen >= 17:
-        return [str(network)]
-    return [str(s) for s in network.subnets(new_prefix=17)]
+        return (str(network),)
+    return tuple(str(s) for s in network.subnets(new_prefix=17))
 
 
 def _announce_start(alloc: address_plan.Allocation) -> Month:
@@ -223,7 +235,7 @@ def _prefix2as_for(month: Month) -> Prefix2ASSnapshot:
     entries: list[OriginEntry] = []
 
     def add(cidr: str, asn: int) -> None:
-        entries.append(OriginEntry(ipaddress.ip_network(cidr), (asn,)))
+        entries.append(OriginEntry(_network(cidr), (asn,)))
 
     # CANTV and the rest of the market announce covering aggregates.
     for alloc in address_plan.CANTV_ALLOCATIONS + address_plan.OTHER_VE_ALLOCATIONS:

@@ -8,8 +8,9 @@
   dataset was derived from.
 * :mod:`repro.exec.cache` -- a content-keyed on-disk cache
   (``~/.cache/repro`` by default) that round-trips built datasets through
-  a versioned, checksummed pickle envelope.  Corrupt entries are
-  quarantined (renamed, never trusted) and rebuilt.
+  a versioned, checksummed envelope: raw column buffers for columnar
+  values, a pickle for the rest.  Corrupt entries are quarantined
+  (renamed, never trusted) and rebuilt.
 * :mod:`repro.exec.retry` -- bounded exponential backoff with
   deterministic jitter for dataset builds (see ``docs/RELIABILITY.md``).
 

@@ -15,14 +15,16 @@ Entry layout (one file per dataset under the cache root)::
          "nbytes": ..., "sha256": ...}, ...]}\\n
     <column 0 raw bytes><column 1 raw bytes>...
 
-Column batches (:class:`repro.columnar.ColumnBatch`) are stored as their
-raw numpy buffers: ``kind`` names the registered batch class, ``meta``
-its JSON pools, and each column is one contiguous little-endian buffer
-with its own SHA-256.  Loading is near-zero-copy — ``np.frombuffer``
-views straight into the file bytes — so a warm start never materialises
-a single record object.  Everything that is not a column batch (probe
-registries, panels, degradation sentinels) uses ``"kind": "pickle"``
-with the pickle bytes as a single ``uint8`` column.
+Columnar values (:class:`repro.columnar.Columnar`: the row batches of
+the NDT, GPDNS and CHAOS campaigns, and the prefix2as, AS-relationship
+and off-net archives) are stored as their raw numpy buffers: ``kind``
+names the registered class, ``meta`` its JSON pools, and each column is
+one contiguous little-endian buffer with its own SHA-256.  Loading is
+near-zero-copy — ``np.frombuffer`` views straight into the file bytes —
+so a warm start never materialises a single record object.  Everything
+else (PeeringDB snapshots, the cable map, probe registries, panels,
+degradation sentinels) uses ``"kind": "pickle"`` with the pickle bytes
+as a single ``uint8`` column.
 
 Load outcomes are deliberately asymmetric:
 
@@ -64,7 +66,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.columnar import ColumnBatch, UnknownBatchKind, batch_class
+from repro.columnar import Columnar, UnknownBatchKind, batch_class
 from repro.exec.dag import code_fingerprint
 from repro.obs import get_logger, get_registry
 
@@ -102,7 +104,7 @@ def _gc_paused():
     tracked objects, which triggers repeated full collections; none of
     those objects can be garbage mid-load.  A depth counter makes
     concurrent loads from pool workers share one pause instead of
-    re-enabling the GC under each other.  Column-batch entries never
+    re-enabling the GC under each other.  Columnar entries never
     need this — their load is a header parse plus buffer views.
     """
     global _GC_PAUSE_DEPTH, _GC_WAS_ENABLED
@@ -159,7 +161,7 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
-def _buffers(value: ColumnBatch) -> list[tuple[dict[str, Any], np.ndarray]]:
+def _buffers(value: Columnar) -> list[tuple[dict[str, Any], np.ndarray]]:
     """(column spec, contiguous array) per column, in wire order."""
     out = []
     for name, array in value.columns().items():
@@ -320,7 +322,7 @@ class DatasetCache:
     ) -> Path | None:
         """Write (*name*, *params*) -> *value* atomically; returns the path.
 
-        Column batches are written as raw column buffers (their ``kind``
+        Columnar values are written as raw column buffers (their ``kind``
         and ``meta()`` in the header); everything else falls back to a
         single pickle column under ``"kind": "pickle"``.
 
@@ -331,7 +333,7 @@ class DatasetCache:
         warning — and ``None`` comes back instead of a path.
         """
         path = self.entry_path(name, params)
-        if isinstance(value, ColumnBatch):
+        if isinstance(value, Columnar):
             kind = value.kind
             meta = value.meta()
             columns = _buffers(value)

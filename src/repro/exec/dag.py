@@ -39,29 +39,65 @@ DATASET_DEPS: dict[str, tuple[str, ...]] = {
     "gpdns_traceroutes": ("probes",),
 }
 
-#: Dataset name -> modules whose source defines its generator.  The
-#: cache fingerprints these (plus the Scenario class itself) so editing
-#: a generator invalidates exactly the datasets built from it.
+#: Dataset name -> the modules a built value depends on: those whose
+#: source defines its generator, and those whose classes make up the
+#: cached value (a pickle revives its classes by module and name, and
+#: a dataclass restores its fields by position).  The cache fingerprints
+#: these (plus the Scenario class itself) so editing any of them
+#: invalidates exactly the datasets built from it.
 GENERATOR_MODULES: dict[str, tuple[str, ...]] = {
-    "macro": ("repro.macro.synthetic",),
-    "delegations": ("repro.registry.synthetic",),
-    "prefix2as": ("repro.bgp.synthetic",),
-    "peeringdb": ("repro.peeringdb.synthetic",),
-    "cables": ("repro.telegeography.synthetic",),
-    "ipv6": ("repro.ipv6.synthetic",),
-    "root_deployment": ("repro.rootdns.synthetic",),
-    "probes": ("repro.atlas.synthetic",),
+    "macro": ("repro.macro.synthetic", "repro.macro.store"),
+    "delegations": ("repro.registry.synthetic", "repro.registry.delegation"),
+    "prefix2as": (
+        "repro.bgp.synthetic",
+        "repro.bgp.archive",
+        "repro.bgp.prefix2as",
+        "repro.columnar.batch",
+        "repro.timeseries.month",
+    ),
+    "peeringdb": (
+        "repro.peeringdb.synthetic",
+        "repro.peeringdb.schema",
+        "repro.peeringdb.archive",
+        "repro.timeseries.month",
+    ),
+    "cables": ("repro.telegeography.synthetic", "repro.telegeography.model"),
+    "ipv6": (
+        "repro.ipv6.synthetic",
+        "repro.ipv6.model",
+        "repro.timeseries.month",
+    ),
+    "root_deployment": (
+        "repro.rootdns.synthetic",
+        "repro.rootdns.deployment",
+        "repro.timeseries.month",
+    ),
+    "probes": (
+        "repro.atlas.synthetic",
+        "repro.atlas.probes",
+        "repro.timeseries.month",
+    ),
     "chaos_observations": (
         "repro.atlas.synthetic",
         "repro.atlas.columns",
         "repro.columnar.batch",
         "repro.rootdns.analysis",
     ),
-    "populations": ("repro.apnic.synthetic",),
-    "offnets": ("repro.offnets.synthetic",),
-    "orgmap": ("repro.offnets.synthetic",),
-    "site_survey": ("repro.webdeps.synthetic",),
-    "asrel": ("repro.bgp.synthetic",),
+    "populations": ("repro.apnic.synthetic", "repro.apnic.model"),
+    "offnets": (
+        "repro.offnets.synthetic",
+        "repro.offnets.records",
+        "repro.columnar.batch",
+    ),
+    "orgmap": ("repro.offnets.synthetic", "repro.offnets.as2org"),
+    "site_survey": ("repro.webdeps.synthetic", "repro.webdeps.model"),
+    "asrel": (
+        "repro.bgp.synthetic",
+        "repro.bgp.archive",
+        "repro.bgp.asrel",
+        "repro.columnar.batch",
+        "repro.timeseries.month",
+    ),
     "ndt_tests": (
         "repro.mlab.synthetic",
         "repro.mlab.columns",
@@ -169,30 +205,37 @@ def validate_graph(dataset_names: list[str] | None = None) -> None:
 _FINGERPRINTS: dict[str, str] = {}
 
 
-def code_fingerprint(name: str) -> str:
-    """Version hash of the code that produces dataset *name*.
+def fingerprint_modules(name: str) -> list[str]:
+    """The modules :func:`code_fingerprint` hashes for *name*, sorted.
 
-    SHA-256 over the source text of the dataset's generator modules, the
-    generator modules of every transitive dependency, and
-    ``repro.core.scenario`` itself (whose property bodies wire the
-    generators together).  Editing any of those files changes the
-    fingerprint, which changes the cache key, which invalidates exactly
-    the cache entries that could now be stale.
+    ``repro.core.scenario`` (whose property bodies wire the generators
+    together) plus the :data:`GENERATOR_MODULES` of the dataset and of
+    every transitive dependency.
     """
-    cached = _FINGERPRINTS.get(name)
-    if cached is not None:
-        return cached
-    modules: dict[str, None] = {"repro.core.scenario": None}
+    modules = {"repro.core.scenario"}
     for dataset in (name, *transitive_dependencies(name)):
         try:
-            for module in GENERATOR_MODULES[dataset]:
-                modules[module] = None
+            modules.update(GENERATOR_MODULES[dataset])
         except KeyError:
             raise DependencyGraphError(
                 f"no generator modules declared for {dataset!r}"
             ) from None
+    return sorted(modules)
+
+
+def code_fingerprint(name: str) -> str:
+    """Version hash of the code that produces dataset *name*.
+
+    SHA-256 over the source text of every module
+    :func:`fingerprint_modules` names.  Editing any of those files
+    changes the fingerprint, which changes the cache key, which
+    invalidates exactly the cache entries that could now be stale.
+    """
+    cached = _FINGERPRINTS.get(name)
+    if cached is not None:
+        return cached
     digest = hashlib.sha256()
-    for module_name in sorted(modules):
+    for module_name in fingerprint_modules(name):
         module = importlib.import_module(module_name)
         digest.update(module_name.encode())
         digest.update(inspect.getsource(module).encode())

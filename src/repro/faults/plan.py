@@ -206,10 +206,12 @@ class FaultPlan:
         return touched
 
     def gate(self, dataset: str, value: object) -> object:
-        """Round-trip a built dataset through corrupted wire bytes.
+        """Round-trip a built dataset through corrupted pickle bytes.
 
-        Serialises *value* (pickle, the same codec the dataset cache
-        persists with), corrupts the bytes per this plan, and re-parses.
+        Pickles *value*, corrupts the bytes per this plan, and unpickles
+        them.  That is the gate's own wire form: the dataset cache
+        stores columnar values as raw column buffers, not pickles (a
+        columnar value pickles as its meta and column arrays).
         Corruption mild enough to survive the round trip returns the
         damaged-but-parseable value; anything else raises
         :class:`InjectedCorruptionError` for the build machinery to

@@ -194,16 +194,16 @@ def apply_overlay(scenario: "Scenario", name: str, base):
 def dataset_fingerprint(value) -> str:
     """Content digest of one materialised dataset value.
 
-    Column batches hash their kind, pools, and raw buffers; anything
+    Columnar values hash their kind, pools, and raw buffers; anything
     else hashes its pickle.  Used by the crash drill to prove a
     recovered world converges on the uninterrupted one.
     """
     import numpy as np
 
-    from repro.columnar import ColumnBatch
+    from repro.columnar import Columnar
 
     digest = hashlib.sha256()
-    if isinstance(value, ColumnBatch):
+    if isinstance(value, Columnar):
         digest.update(value.kind.encode())
         digest.update(
             json.dumps(value.meta(), sort_keys=True, default=str).encode()

@@ -96,12 +96,12 @@ def synthesize_offnets(estimates: APNICEstimates | None = None) -> OffnetArchive
     """Build the calibrated off-net archive over 2013-2021."""
     if estimates is None:
         estimates = synthesize_populations()
-    archive = OffnetArchive()
+    records: list[OffnetRecord] = []
 
     def deploy(hg: str, asn: int, first_year: int) -> None:
         for year in WINDOW_YEARS:
             if year >= first_year:
-                archive.add(OffnetRecord(year, hg, asn))
+                records.append(OffnetRecord(year, hg, asn))
 
     for hg, schedule in VE_SCHEDULES.items():
         for asn, first_year in schedule:
@@ -126,4 +126,4 @@ def synthesize_offnets(estimates: APNICEstimates | None = None) -> OffnetArchive
             top = estimates.top_networks(cc, 1)
             deploy(hg, top[0].asn, start)
 
-    return archive
+    return OffnetArchive(records)

@@ -75,8 +75,9 @@ def test_detects_garbled_chaos(small_scenario):
 def test_detects_orphan_offnet(small_scenario):
     from repro.offnets.records import OffnetArchive, OffnetRecord
 
-    archive = OffnetArchive(list(small_scenario.offnets))
-    archive.add(OffnetRecord(2020, "google", 999_999))
+    archive = OffnetArchive(
+        [*small_scenario.offnets, OffnetRecord(2020, "google", 999_999)]
+    )
     small_scenario.__dict__["offnets"] = archive
     issues = validate_scenario(small_scenario)
     assert any(i.check == "offnet_asns_have_population" for i in issues)

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.columnar import ColumnBatch, registered_kinds
+from repro.columnar import ColumnBatch, Columnar, registered_kinds
 from repro.core.degrade import DegradedDataset
 from repro.core.scenario import dataset_names
 from repro.exec import DatasetCache
@@ -44,20 +44,65 @@ def test_every_dataset_round_trips(tmp_path, scenario):
 
 
 def test_column_batches_skip_pickle_on_disk(tmp_path, scenario):
-    # The three heavy datasets are batches and must serialise as raw
-    # column buffers, not pickle: their header names the registered kind.
+    # The three heavy datasets are batches and the three BGP/off-net
+    # archives columnar values: all must serialise as raw column
+    # buffers, not pickle, with a header naming the registered kind.
     import json
 
     cache = DatasetCache(tmp_path / "c")
     kinds = set()
     for name in ("ndt_tests", "gpdns_traceroutes", "chaos_observations"):
+        assert isinstance(getattr(scenario, name), ColumnBatch)
+    for name in (
+        "ndt_tests",
+        "gpdns_traceroutes",
+        "chaos_observations",
+        "prefix2as",
+        "asrel",
+        "offnets",
+    ):
         value = getattr(scenario, name)
-        assert isinstance(value, ColumnBatch)
+        assert isinstance(value, Columnar)
         path = cache.store(name, PARAMS, value)
         header = json.loads(path.read_bytes().partition(b"\n")[0])
         assert header["kind"] == value.kind
         kinds.add(header["kind"])
+    assert kinds == {
+        "mlab.ndt/1",
+        "atlas.traceroute/1",
+        "rootdns.chaos/1",
+        "bgp.prefix2as/1",
+        "bgp.asrel/1",
+        "offnets.presence/1",
+    }
     assert kinds <= set(registered_kinds())
+
+
+def test_warm_report_unpickles_only_the_pickle_entries(tmp_path, monkeypatch):
+    # A warm report loads 15 datasets; the six columnar ones are buffer
+    # views, so only the other nine go through pickle.loads.
+    import pickle
+
+    import repro.obs
+    from repro.core import Scenario
+    from repro.core.report import run_all
+
+    small = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
+    cache = DatasetCache(tmp_path / "c")
+    run_all(Scenario(cache=cache, strict=False, **small))
+    loads = []
+    real_loads = pickle.loads
+
+    def counting_loads(data, *args, **kwargs):
+        loads.append(len(data))
+        return real_loads(data, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "loads", counting_loads)
+    repro.obs.reset()
+    run_all(Scenario(cache=cache, strict=False, **small))
+    assert get_registry().counter("scenario.cache.hit").value == 15
+    assert get_registry().counter("scenario.dataset.built").value == 0
+    assert len(loads) == 9
 
 
 def test_loaded_batch_views_are_zero_copy_reads(tmp_path, scenario):

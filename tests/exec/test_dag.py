@@ -1,7 +1,11 @@
 """Tests for the dataset dependency graph."""
 
+import io
+import pickle
+
 import pytest
 
+from repro.columnar import Columnar
 from repro.core.scenario import dataset_names
 from repro.exec import dag
 from repro.exec.dag import (
@@ -9,6 +13,7 @@ from repro.exec.dag import (
     DependencyGraphError,
     code_fingerprint,
     dependencies,
+    fingerprint_modules,
     topological_order,
     transitive_dependencies,
     validate_graph,
@@ -85,3 +90,32 @@ def test_code_fingerprint_folds_in_dependency_code(monkeypatch):
         dag.GENERATOR_MODULES, "probes", ("repro.atlas.synthetic", "repro.geo.airports")
     )
     assert code_fingerprint("chaos_observations") != baseline
+
+
+class _NamingUnpickler(pickle.Unpickler):
+    """Records the module of every class a pickle stream names."""
+
+    def __init__(self, data: bytes):
+        super().__init__(io.BytesIO(data))
+        self.modules: set[str] = set()
+
+    def find_class(self, module, name):
+        self.modules.add(module)
+        return super().find_class(module, name)
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_fingerprint_covers_the_modules_a_cached_value_is_made_of(scenario, name):
+    # A pickle revives classes by (module, name) and dataclass fields by
+    # position, so a module it names but the key does not hash could
+    # change under a warm cache and revive swapped values.
+    value = getattr(scenario, name)
+    if isinstance(value, Columnar):
+        named = {type(value).__module__}
+    else:
+        unpickler = _NamingUnpickler(
+            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        unpickler.load()
+        named = {m for m in unpickler.modules if m.split(".")[0] == "repro"}
+    assert named <= set(fingerprint_modules(name))

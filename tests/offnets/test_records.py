@@ -1,8 +1,12 @@
 """Tests for off-net records and the org map."""
 
-import pytest
+import hashlib
 
-from repro.offnets import OffnetArchive, OffnetRecord, OrgMap
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.offnets import HYPERGIANTS, OffnetArchive, OffnetRecord, OrgMap
 
 
 def test_record_validates_hypergiant():
@@ -11,12 +15,14 @@ def test_record_validates_hypergiant():
 
 
 def _archive():
-    archive = OffnetArchive()
-    archive.add(OffnetRecord(2013, "google", 8048))
-    archive.add(OffnetRecord(2013, "google", 21826))
-    archive.add(OffnetRecord(2014, "google", 8048))
-    archive.add(OffnetRecord(2021, "netflix", 8048))
-    return archive
+    return OffnetArchive(
+        [
+            OffnetRecord(2013, "google", 8048),
+            OffnetRecord(2013, "google", 21826),
+            OffnetRecord(2014, "google", 8048),
+            OffnetRecord(2021, "netflix", 8048),
+        ]
+    )
 
 
 def test_hosting_asns():
@@ -35,7 +41,7 @@ def test_years_and_hypergiants():
 def test_duplicates_idempotent():
     archive = _archive()
     before = len(archive)
-    archive.add(OffnetRecord(2013, "google", 8048))
+    archive = OffnetArchive([*archive, OffnetRecord(2013, "google", 8048)])
     assert len(archive) == before
 
 
@@ -68,3 +74,42 @@ def test_orgmap_sibling_groups():
 def test_orgmap_rejects_conflicts():
     with pytest.raises(ValueError):
         OrgMap([(1, 2), (2, 3)])
+
+
+#: sha256 of the default scenario's off-net CSV, taken from the
+#: record-set archive the columns replaced.
+OFFNETS_CSV_SHA256 = "9a2d06ff8f7b97a3c8d2132cb98012bd1d28e23a8b6db79ad85db4a916f982b2"
+
+
+def test_offnets_wire_bytes_are_pinned(scenario):
+    csv_bytes = scenario.offnets.to_csv().encode()
+    assert hashlib.sha256(csv_bytes).hexdigest() == OFFNETS_CSV_SHA256
+
+
+_records = st.lists(
+    st.builds(
+        OffnetRecord,
+        year=st.integers(min_value=2010, max_value=2024),
+        hypergiant=st.sampled_from(HYPERGIANTS),
+        asn=st.one_of(
+            st.sampled_from([8048, 6306, 4_294_967_294]),
+            st.integers(min_value=1, max_value=4_294_967_294),
+        ),
+    ),
+    max_size=60,
+)
+
+
+@given(_records, st.sampled_from(HYPERGIANTS), st.integers(2010, 2024))
+def test_queries_equal_set_comprehension_references(records, hypergiant, year):
+    archive = OffnetArchive(records)
+    assert archive.hosting_asns(hypergiant, year) == {
+        r.asn for r in records if r.hypergiant == hypergiant and r.year == year
+    }
+    assert archive.years() == sorted({r.year for r in records})
+    seen = {r.hypergiant for r in records}
+    assert archive.hypergiants_seen() == [hg for hg in HYPERGIANTS if hg in seen]
+    assert len(archive) == len(set(records))
+    assert list(archive) == sorted(
+        set(records), key=lambda r: (r.year, r.hypergiant, r.asn)
+    )
