@@ -145,9 +145,9 @@ def _fork_server(quiet: bool) -> tuple[int, int]:
             if quiet:
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, 2)
-            from repro.serve.aio import _reuseport_socket, create_aio_server, run_aio
+            from repro.serve.aio import create_aio_server, run_aio
 
-            sock = _reuseport_socket("127.0.0.1", 0)
+            sock = socket.create_server(("127.0.0.1", 0), backlog=512)
             os.write(write_fd, str(sock.getsockname()[1]).encode())
             os.close(write_fd)
             run_aio(create_aio_server(sock=sock))

@@ -9,8 +9,6 @@ Commands:
 * ``export <dir>``      -- write every dataset in its wire format.
 * ``serve``             -- serve exhibits/report/scorecards over HTTP.
 * ``stats``             -- profile a scenario build + full exhibit run.
-* ``profile``           -- sampling wall-time profile of a build + run
-  (``repro.prof/1`` artifact, collapsed flamegraph stacks).
 * ``bench gate``        -- compare a fresh benchmark artifact against a
   committed ``BENCH_*.json`` baseline; non-zero exit on regression.
 * ``cache info|clear``  -- inspect or empty the persistent dataset cache.
@@ -231,76 +229,50 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Serve the API from one process, or from pre-forked workers.
+    """Serve the API from one process on one port.
 
-    A single process builds its world before it listens (after any
-    journal recovery) and fills its artifact plane as each static path
-    is first requested.  ``--workers N>1`` seals the whole plane before
-    any fork, so the workers share it copy-on-write.
+    The port is bound first, so a taken one fails the command before a
+    journal opens or a world builds.  The server then builds its world
+    (after any journal recovery) before it listens, and fills its
+    artifact plane as each static path is first requested.
     """
-    if args.ingest_dir and args.workers > 1:
-        # The journal, its apply thread and the surface hot-swap live in
-        # one process; N workers would each apply the journal.
-        print(
-            "--ingest-dir needs a single process (drop --workers)",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.serve.aio import AioServer, _reuseport_socket, run_aio, run_workers
-    from repro.serve.artifacts import build_artifact_store
+    import socket
+
+    try:
+        sock = socket.create_server((args.host, args.port), backlog=512)
+    except OSError as exc:
+        print(f"repro serve: cannot listen: {exc}", file=sys.stderr)
+        return 1
+    from repro.serve.aio import AioServer, run_aio
     from repro.serve.handlers import ServeContext
     from repro.serve.pool import ScenarioPool
 
     cache = _resolve_cache(args)
-    pool = ScenarioPool(cache=cache, strict=args.strict)
-    context = ServeContext(pool=pool, params={})
-    store = None
-    if args.workers > 1:
-        store = build_artifact_store(context)
-        print(
-            f"artifact plane sealed: {len(store)} responses, "
-            f"{store.total_bytes} bytes, fingerprint {store.fingerprint()[:12]}",
-            file=sys.stderr,
-        )
+    server = AioServer(
+        ServeContext(pool=ScenarioPool(cache=cache, strict=args.strict)),
+        sock=sock,
+        verbose=args.verbose,
+        deadline_seconds=args.deadline,
+        max_inflight=args.max_inflight,
+        trace_sample_rate=args.trace_sample_rate,
+        trace_dir=args.trace_dir,
+    )
+    if args.ingest_dir:
+        from repro.serve.ingestor import enable_ingest
 
-    def _make(sock):
-        return AioServer(
-            context,
-            store,
-            sock=sock,
-            verbose=args.verbose,
-            deadline_seconds=args.deadline,
-            max_inflight=args.max_inflight,
-            trace_sample_rate=args.trace_sample_rate,
-            trace_dir=args.trace_dir,
+        enable_ingest(
+            server,
+            args.ingest_dir,
+            cache=cache,
+            strict=args.strict,
+            max_backlog=args.ingest_max_backlog,
         )
-
-    def _announce(port: int) -> None:
-        print(
-            f"serving on http://{args.host}:{port} [workers={args.workers}] "
-            "(SIGTERM or Ctrl-C to stop)",
-            file=sys.stderr,
-        )
-
-    if args.workers > 1:
-        run_workers(
-            _make, args.workers, args.host, args.port, on_bound=_announce
-        )
-    else:
-        sock = _reuseport_socket(args.host, args.port)
-        server = _make(sock)
-        if args.ingest_dir:
-            from repro.serve.ingestor import enable_ingest
-
-            enable_ingest(
-                server,
-                args.ingest_dir,
-                cache=cache,
-                strict=args.strict,
-                max_backlog=args.ingest_max_backlog,
-            )
-        _announce(sock.getsockname()[1])
-        run_aio(server)
+    print(
+        f"serving on http://{args.host}:{sock.getsockname()[1]} "
+        "(SIGTERM or Ctrl-C to stop)",
+        file=sys.stderr,
+    )
+    run_aio(server)
     print("server drained; exiting", file=sys.stderr)
     return 0
 
@@ -334,56 +306,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.spans:
         print()
         print(render_spans())
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.core.report import run_all
-    from repro.obs.profiling import (
-        SamplingProfiler,
-        collapsed_text,
-        render_profile,
-        top_labels,
-        write_profile_json,
-    )
-
-    # Two calibrated sizes: the paper-default world and a small one for
-    # quick iteration on the profiler itself.
-    sizes: dict[str, dict[str, int]] = {
-        "default": {},
-        "small": {"ndt_tests_per_month": 5, "gpdns_samples_per_month": 1},
-    }
-    params = sizes[args.scenario]
-    profiler = SamplingProfiler(interval=args.interval)
-    with profiler:
-        scenario = Scenario(
-            cache=_resolve_cache(args), strict=args.strict, **params
-        )
-        scenario.build_all()
-        run_all(scenario)
-    result = profiler.result()
-
-    print(render_profile(result))
-    builders = top_labels(result, prefix="scenario.build.", limit=args.top)
-    if builders:
-        print()
-        print(f"top {len(builders)} dataset generators by self time:")
-        for row in builders:
-            name = str(row["label"])[len("scenario.build."):]
-            print(
-                f"  {name:<24} {row['samples']:5d} samples"
-                f"  ~{row['est_seconds']:.3f}s"
-            )
-    if args.out:
-        path = write_profile_json(args.out, result)
-        print(f"profile artifact written to {path}", file=sys.stderr)
-    if args.folded:
-        folded = Path(args.folded)
-        folded.parent.mkdir(parents=True, exist_ok=True)
-        folded.write_text(collapsed_text(result), encoding="utf-8")
-        print(f"collapsed stacks written to {folded}", file=sys.stderr)
     return 0
 
 
@@ -642,16 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 picks an ephemeral port)",
     )
     serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="pre-fork N worker processes sharing the port via "
-        "SO_REUSEPORT, after sealing the artifact plane they share "
-        "(default: 1, a single process that fills the plane on first "
-        "request)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log each request to stderr"
     )
     serve.add_argument(
@@ -690,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="enable POST /v1/ingest/<format>, journaling batches into "
         "this write-ahead-log directory and hot-swapping the serving "
-        "surface after each rebuild (single process only)",
+        "surface after each rebuild",
     )
     serve.add_argument(
         "--ingest-max-backlog",
@@ -714,44 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--spans", action="store_true", help="also print the span tree"
     )
     stats.set_defaults(fn=_cmd_stats)
-
-    profile = sub.add_parser(
-        "profile",
-        help="sampling wall-time profile of a scenario build + exhibit run",
-    )
-    profile.add_argument(
-        "--scenario",
-        choices=["default", "small"],
-        default="default",
-        help="world size to profile (default: the paper-default scenario)",
-    )
-    profile.add_argument(
-        "--interval",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="sampling interval (default: 5ms)",
-    )
-    profile.add_argument(
-        "--top",
-        type=_positive_int,
-        default=10,
-        metavar="N",
-        help="dataset generators to list by self time (default: 10)",
-    )
-    profile.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write the repro.prof/1 JSON artifact to PATH",
-    )
-    profile.add_argument(
-        "--folded",
-        metavar="PATH",
-        default=None,
-        help="write flamegraph-ready collapsed stacks to PATH",
-    )
-    profile.set_defaults(fn=_cmd_profile)
 
     bench = sub.add_parser(
         "bench", help="benchmark artifact tooling (regression gate)"

@@ -40,42 +40,83 @@ DATASET_DEPS: dict[str, tuple[str, ...]] = {
 }
 
 #: Dataset name -> the modules a built value depends on: those whose
-#: source defines its generator, and those whose classes make up the
-#: cached value (a pickle revives its classes by module and name, and
-#: a dataclass restores its fields by position).  The cache fingerprints
-#: these (plus the Scenario class itself) so editing any of them
-#: invalidates exactly the datasets built from it.
+#: code runs while it builds, those that code imports names from (a
+#: data-only constant never shows in a call trace), and those whose
+#: classes make up the cached value (a pickle revives its classes by
+#: module and name, and a dataclass restores its fields by position).
+#: The cache fingerprints these (plus the Scenario class itself) so
+#: editing any of them invalidates exactly the datasets built from it;
+#: ``tests/exec/test_dag.py`` traces every cold build to keep the lists
+#: whole.  A key also hashes its dependencies' lists, so a list need not
+#: repeat them.
 GENERATOR_MODULES: dict[str, tuple[str, ...]] = {
-    "macro": ("repro.macro.synthetic", "repro.macro.store"),
-    "delegations": ("repro.registry.synthetic", "repro.registry.delegation"),
+    "macro": (
+        "repro.macro.synthetic",
+        "repro.macro.store",
+        "repro.timeseries.month",
+        "repro.timeseries.panel",
+        "repro.timeseries.series",
+    ),
+    "delegations": (
+        "repro.registry.synthetic",
+        "repro.registry.delegation",
+        "repro.registry.address_plan",
+    ),
     "prefix2as": (
         "repro.bgp.synthetic",
         "repro.bgp.archive",
         "repro.bgp.prefix2as",
+        "repro.bgp.asrel",
+        "repro.registry.address_plan",
         "repro.columnar.batch",
         "repro.timeseries.month",
+        "repro.timeseries.series",
     ),
     "peeringdb": (
         "repro.peeringdb.synthetic",
         "repro.peeringdb.schema",
         "repro.peeringdb.archive",
+        "repro.apnic.synthetic",
+        "repro.apnic.model",
         "repro.timeseries.month",
+        "repro.timeseries.panel",
+        "repro.timeseries.series",
     ),
-    "cables": ("repro.telegeography.synthetic", "repro.telegeography.model"),
+    "cables": (
+        "repro.telegeography.synthetic",
+        "repro.telegeography.model",
+        "repro.geo.countries",
+        "repro.timeseries.month",
+        "repro.timeseries.panel",
+        "repro.timeseries.series",
+    ),
     "ipv6": (
         "repro.ipv6.synthetic",
         "repro.ipv6.model",
         "repro.timeseries.month",
+        "repro.timeseries.panel",
+        "repro.timeseries.series",
     ),
     "root_deployment": (
         "repro.rootdns.synthetic",
         "repro.rootdns.deployment",
+        "repro.rootdns.naming",
+        "repro.geo.airports",
         "repro.timeseries.month",
     ),
     "probes": (
         "repro.atlas.synthetic",
         "repro.atlas.probes",
+        "repro.atlas.columns",
+        "repro.atlas.dnsbuiltin",
+        "repro.atlas.rttmodel",
+        "repro.atlas.traceroute",
+        "repro.geo.countries",
+        "repro.geo.venezuela",
+        "repro.rootdns.deployment",
+        "repro.rootdns.naming",
         "repro.timeseries.month",
+        "repro.timeseries.panel",
     ),
     "chaos_observations": (
         "repro.atlas.synthetic",
@@ -87,26 +128,46 @@ GENERATOR_MODULES: dict[str, tuple[str, ...]] = {
     "offnets": (
         "repro.offnets.synthetic",
         "repro.offnets.records",
+        "repro.offnets.as2org",
         "repro.columnar.batch",
     ),
-    "orgmap": ("repro.offnets.synthetic", "repro.offnets.as2org"),
-    "site_survey": ("repro.webdeps.synthetic", "repro.webdeps.model"),
+    "orgmap": (
+        "repro.offnets.synthetic",
+        "repro.offnets.as2org",
+        "repro.offnets.records",
+        "repro.apnic.synthetic",
+        "repro.apnic.model",
+    ),
+    "site_survey": (
+        "repro.webdeps.synthetic",
+        "repro.webdeps.model",
+        "repro.webdeps.scrape",
+    ),
     "asrel": (
         "repro.bgp.synthetic",
         "repro.bgp.archive",
         "repro.bgp.asrel",
+        "repro.bgp.prefix2as",
+        "repro.registry.address_plan",
         "repro.columnar.batch",
         "repro.timeseries.month",
+        "repro.timeseries.series",
     ),
     "ndt_tests": (
         "repro.mlab.synthetic",
         "repro.mlab.columns",
+        "repro.mlab.ndt",
+        "repro.apnic.synthetic",
+        "repro.apnic.model",
         "repro.columnar.batch",
+        "repro.timeseries.month",
     ),
     "gpdns_traceroutes": (
         "repro.atlas.synthetic",
         "repro.atlas.columns",
         "repro.columnar.batch",
+        "repro.geo.distance",
+        "repro.rootdns.analysis",
     ),
 }
 

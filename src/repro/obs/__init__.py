@@ -1,4 +1,4 @@
-"""repro.obs: metrics, tracing, logging, profiling, and SLOs.
+"""repro.obs: metrics, tracing, logging, and SLOs.
 
 The layers, smallest first:
 
@@ -15,8 +15,6 @@ The layers, smallest first:
   automatic trace/request correlation.
 * :mod:`repro.obs.openmetrics` -- the Prometheus/OpenMetrics text
   exposition ``repro serve`` negotiates at ``/metrics``.
-* :mod:`repro.obs.profiling` -- the sampling wall-time profiler behind
-  ``repro profile`` (``repro.prof/1`` + collapsed stacks).
 * :mod:`repro.obs.slo` -- rolling-window availability/latency objectives
   and burn rates for ``/healthz`` and ``/v1/slo``.
 * :mod:`repro.obs.benchgate` -- the ``repro bench gate`` regression gate
@@ -74,7 +72,6 @@ from repro.obs.openmetrics import (
     parse_openmetrics,
     render_openmetrics,
 )
-from repro.obs.profiling import SamplingProfiler, label_scope
 from repro.obs.render import render_metrics, render_spans, render_timer_group
 from repro.obs.slo import DEFAULT_SLOS, SLODefinition, SLOTracker
 from repro.obs.tracing import (
@@ -99,7 +96,6 @@ __all__ = [
     "MetricsRegistry",
     "SLODefinition",
     "SLOTracker",
-    "SamplingProfiler",
     "SpanRecord",
     "Timer",
     "TraceContext",
@@ -111,7 +107,6 @@ __all__ = [
     "get_logger",
     "get_registry",
     "get_tracer",
-    "label_scope",
     "metrics_from_json",
     "metrics_to_dict",
     "metrics_to_json",

@@ -16,7 +16,6 @@ import time
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.obs.metrics import get_registry
-from repro.obs.profiling import label_scope
 from repro.obs.tracing import trace_span
 
 T = TypeVar("T")
@@ -26,12 +25,10 @@ def timed(name: str, thunk: Callable[[], T]) -> T:
     """Run *thunk* inside span *name*, recording its wall time.
 
     The duration always lands in the registry timer *name*; the span is
-    additionally recorded when tracing is enabled, and while a sampling
-    profiler is running (``repro profile``) the block's samples are
-    attributed to *name* via :func:`repro.obs.profiling.label_scope`.
-    Used for every ``Scenario`` dataset build and exhibit run.
+    additionally recorded when tracing is enabled.  Used for every
+    ``Scenario`` dataset build and exhibit run.
     """
-    with trace_span(name), label_scope(name):
+    with trace_span(name):
         t0 = time.perf_counter()
         value = thunk()
         get_registry().timer(name).observe(time.perf_counter() - t0)

@@ -24,9 +24,9 @@ path.  The pieces, smallest first:
   ``/v1/scorecard/<cc>`` and ``POST /v1/ingest/<format>``.
 * :mod:`repro.serve.ingestor` -- durable ingestion behind
   ``POST /v1/ingest``: journal, background apply, surface hot-swap.
-* :mod:`repro.serve.aio` -- the server: keep-alive HTTP/1.1, the live
-  path's hardening and tracing, graceful SIGTERM drain, and optional
-  pre-forked ``SO_REUSEPORT`` workers.
+* :mod:`repro.serve.aio` -- the server: one process on one port,
+  keep-alive HTTP/1.1, the live path's hardening and tracing, and a
+  graceful SIGTERM drain.
 
 Entry points: ``python -m repro serve`` (CLI) or, embedded::
 
@@ -38,7 +38,7 @@ See ``docs/SERVING.md`` for endpoint shapes, the plane rule, and tuning
 guidance.
 """
 
-from repro.serve.aio import AioServer, create_aio_server, run_aio, run_workers
+from repro.serve.aio import AioServer, create_aio_server, run_aio
 from repro.serve.artifacts import Artifact, ArtifactStore, build_artifact_store
 from repro.serve.handlers import ServeContext, build_router
 from repro.serve.pool import ScenarioPool
@@ -72,6 +72,5 @@ __all__ = [
     "etag_for",
     "etag_matches",
     "run_aio",
-    "run_workers",
     "to_json_bytes",
 ]

@@ -23,12 +23,11 @@ on a scenario build or sees one fail.
 
 **The plane rule.**  A server given a sealed store serves the whole
 plane from its first request (:func:`create_aio_server` seals one when
-called without; ``repro serve --workers N`` seals before it forks).  A
-server built without one fills its plane lazily: a static path's first
-request renders it with :func:`~repro.serve.artifacts.render_artifact`,
-the seal's own render, and memoizes it into the surface that request
-captured.  Artifacts are addressed by the SHA-256 of their bytes, so
-both serve one plane.
+called without).  A server built without one (``repro serve``) fills
+its plane lazily: a static path's first request renders it with
+:func:`~repro.serve.artifacts.render_artifact`, the seal's own render,
+and memoizes it into the surface that request captured.  Artifacts are
+addressed by the SHA-256 of their bytes, so both serve one plane.
 
 An ingest apply publishes a new surface with
 :meth:`AioServer.swap_surface`; ``_process`` reads the surface once per
@@ -40,9 +39,8 @@ exports a ``repro.trace/1`` artifact.
 Shutdown is graceful: SIGTERM/SIGINT stop the accept loop, idle
 connections close, and every request already received is answered
 before the process exits; with ingest enabled, a running apply then
-finishes and the journal is closed.  ``--workers N`` pre-forks after
-the seal and binds one ``SO_REUSEPORT`` socket per worker (or shares
-the parent's).
+finishes and the journal is closed.  One process serves one port;
+more cores mean more processes, each on its own port.
 
 Static responses count into ``serve.requests`` / ``serve.artifact.hit``
 in batches (every :data:`_FLUSH_EVERY` and on disconnect), and one in
@@ -54,10 +52,8 @@ live ones count at once and time each handler run or render into
 from __future__ import annotations
 
 import asyncio
-import os
 import signal
 import socket
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -477,8 +473,8 @@ class AioServer:
         max_inflight: Live requests allowed in flight before shedding
             with 503 (``/healthz``, ``/metrics`` and plane hits exempt).
         verbose: Log one access line per live request.
-        sock: Pre-bound listening socket (workers mode); overrides
-            host/port.
+        sock: Pre-bound listening socket (``repro serve`` binds its
+            port before it builds anything); overrides host/port.
         trace_sample_rate: Fraction of requests traced (deterministic
             head sampling on the trace id; 0 disables).
         trace_dir: Directory traced requests export ``repro.trace/1``
@@ -868,231 +864,6 @@ async def _amain(server: AioServer, handle_signals: bool) -> None:
 def run_aio(server: AioServer, handle_signals: bool = True) -> None:
     """Serve until SIGTERM/SIGINT, answer everything accepted, return."""
     asyncio.run(_amain(server, handle_signals))
-
-
-def _reuseport_socket(host: str, port: int) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    if hasattr(socket, "SO_REUSEPORT"):
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    sock.bind((host, port))
-    sock.listen(512)
-    sock.setblocking(False)
-    return sock
-
-
-def run_workers(
-    make_server,
-    workers: int,
-    host: str,
-    port: int,
-    on_bound=None,
-    max_restarts: int = 5,
-    restart_window: float = 30.0,
-    backoff_base: float = 0.1,
-    backoff_cap: float = 5.0,
-) -> int:
-    """Pre-forked multi-worker serving with a supervising parent.
-
-    Binds once in the parent (so an ephemeral port is resolved before
-    forking and printed URLs are accurate), then forks *workers*
-    children.  Worker 0 inherits the parent's socket; the rest bind
-    fresh ``SO_REUSEPORT`` sockets on the same port so the kernel
-    spreads accepts across them (platforms without ``SO_REUSEPORT``
-    fall back to sharing the one inherited socket).  The parent forwards
-    SIGTERM/SIGINT to every worker and waits for all of them to drain.
-
-    The parent *supervises*: a worker that exits without a shutdown
-    having been requested is respawned into its slot after a bounded
-    exponential backoff (``backoff_base * 2^restarts``, capped at
-    ``backoff_cap`` seconds), counted in ``serve.workers.restarted``.
-    More than *max_restarts* exits inside any *restart_window*-second
-    span means the fleet is crash-looping — the supervisor stops
-    respawning, terminates the survivors, and raises ``SystemExit(1)``
-    so the failure is loud instead of a silent capacity leak.
-
-    Workers notice a dead supervisor within ~0.5 s: each one polls
-    ``os.getppid()`` and sends itself SIGTERM (the normal drain) once
-    it is reparented, so a SIGKILLed supervisor never leaves workers
-    serving on the port.
-
-    Args:
-        make_server: ``(sock) -> AioServer`` factory, called in
-            each child **after** the fork (event loops must never cross
-            a fork).
-        workers: Child process count (>= 1).
-        host, port: Bind address; port 0 resolves to an ephemeral port
-            shared by every worker.
-        on_bound: Optional ``(resolved_port) -> None`` called in the
-            parent after binding, before forking (URL announcements).
-        max_restarts: Worker exits tolerated per *restart_window*
-            before the supervisor gives up.
-        restart_window: Sliding window (seconds) for *max_restarts*.
-        backoff_base: First-respawn delay per slot (seconds); doubles
-            per subsequent restart of the same slot.
-        backoff_cap: Upper bound on any respawn delay (seconds).
-
-    Returns:
-        The resolved port (useful when *port* was 0).
-
-    Raises:
-        SystemExit: code 1 when the crash-loop bound is exceeded.
-    """
-    sock0 = _reuseport_socket(host, port)
-    resolved_port = sock0.getsockname()[1]
-    if on_bound is not None:
-        on_bound(resolved_port)
-    reuseport = hasattr(socket, "SO_REUSEPORT")
-    pids: dict[int, int] = {}  # live pid -> worker slot
-    received: list[int] = []
-
-    # The forwarder must be installed *before* the first fork: worker 0
-    # can be serving (and a supervisor reacting to it) while the parent
-    # is still forking the rest, and a SIGTERM in that window would hit
-    # the default disposition and kill the parent without draining.
-    def _forward(signum: int, _frame: object) -> None:
-        received.append(signum)
-        for child in list(pids):
-            try:
-                os.kill(child, signum)
-            except ProcessLookupError:
-                pass
-
-    previous = {
-        signum: signal.signal(signum, _forward)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-
-    supervisor = os.getpid()
-
-    def _watch_supervisor() -> None:
-        while os.getppid() == supervisor:
-            time.sleep(0.5)
-        os.kill(os.getpid(), signal.SIGTERM)
-
-    def _spawn(index: int) -> None:
-        pid = os.fork()
-        if pid == 0:  # child
-            status = 0
-            try:
-                for signum in previous:  # inherited _forward is the
-                    signal.signal(signum, signal.SIG_DFL)  # parent's
-                if received:  # shutdown already requested pre-fork
-                    os._exit(0)
-                threading.Thread(
-                    target=_watch_supervisor, name="supervisor-watch", daemon=True
-                ).start()
-                if index == 0 or not reuseport:
-                    sock = sock0
-                else:
-                    sock0.close()
-                    sock = _reuseport_socket(host, resolved_port)
-                server = make_server(sock)
-                run_aio(server)
-            except BaseException:
-                import traceback
-
-                traceback.print_exc()
-                status = 1
-            finally:
-                os._exit(status)
-        pids[pid] = index
-
-    def _terminate_all() -> None:
-        for child in list(pids):
-            try:
-                os.kill(child, signal.SIGTERM)
-            except ProcessLookupError:
-                pass
-        for child in list(pids):
-            while True:
-                try:
-                    os.waitpid(child, 0)
-                    break
-                except InterruptedError:
-                    continue
-                except ChildProcessError:
-                    break
-            pids.pop(child, None)
-
-    from collections import deque
-
-    restart_times: deque[float] = deque()
-    slot_restarts = [0] * workers
-    pending: list[tuple[float, int]] = []  # (respawn due, worker slot)
-    try:
-        for index in range(workers):
-            _spawn(index)
-        # A signal handled mid-loop only reached the already-forked
-        # subset; resend it now that every pid is known (children that
-        # already got it shut down idempotently).
-        for signum in list(received):
-            _forward(signum, None)
-        while pids or pending:
-            if received:
-                pending.clear()  # shutting down: no more respawns
-                if not pids:
-                    break
-            reaped = False
-            for pid in list(pids):
-                try:
-                    done, status = os.waitpid(pid, os.WNOHANG)
-                except InterruptedError:
-                    continue
-                except ChildProcessError:
-                    done, status = pid, 0
-                if done == 0:
-                    continue
-                slot = pids.pop(pid)
-                reaped = True
-                if received:
-                    continue  # expected exit during shutdown
-                exitcode = os.waitstatus_to_exitcode(status)
-                now = time.monotonic()
-                restart_times.append(now)
-                while restart_times and now - restart_times[0] > restart_window:
-                    restart_times.popleft()
-                if len(restart_times) > max_restarts:
-                    _LOG.error(
-                        "serve.workers.crash_loop",
-                        exits=len(restart_times),
-                        window_seconds=restart_window,
-                        slot=slot,
-                        exitcode=exitcode,
-                    )
-                    _terminate_all()
-                    raise SystemExit(1)
-                delay = min(
-                    backoff_cap, backoff_base * (2 ** slot_restarts[slot])
-                )
-                slot_restarts[slot] += 1
-                pending.append((now + delay, slot))
-                _LOG.warning(
-                    "serve.worker.exited",
-                    slot=slot,
-                    pid=pid,
-                    exitcode=exitcode,
-                    respawn_in_seconds=round(delay, 3),
-                    restarts=slot_restarts[slot],
-                )
-            if not received:
-                now = time.monotonic()
-                for item in list(pending):
-                    due, slot = item
-                    if due <= now:
-                        pending.remove(item)
-                        _spawn(slot)
-                        get_registry().counter("serve.workers.restarted").inc()
-            if (pids or pending) and not reaped:
-                time.sleep(0.05)
-    finally:
-        try:
-            sock0.close()
-        except OSError:
-            pass
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)  # type: ignore[arg-type]
-    return resolved_port
 
 
 def create_aio_server(

@@ -10,8 +10,8 @@ build stores nothing: its caller gets the exception and the next caller
 builds again.
 
 No request pays that build: :meth:`repro.serve.aio.AioServer.start`
-builds the world before it listens, ``repro serve --workers N`` and
-:func:`repro.serve.aio.create_aio_server` seal it before they serve,
+builds the world before it listens,
+:func:`repro.serve.aio.create_aio_server` seals it before it serves,
 and an ingest apply seeds its pool with the world it built.
 """
 

@@ -242,10 +242,16 @@ def test_no_cache_flag_skips_the_cache(tmp_path, capsys):
     assert not cache_dir.exists()
 
 
-def test_there_is_no_jobs_flag():
-    # Builds are serial; a build thread count is a usage error.
+@pytest.mark.parametrize(
+    "argv",
+    [["--jobs", "4", "report"], ["serve", "--workers", "2"], ["profile"]],
+    ids=["jobs", "workers", "profile"],
+)
+def test_there_is_no_jobs_flag(argv):
+    # Builds are serial, one process serves one port, and cProfile
+    # profiles: each retired option or command is a usage error.
     with pytest.raises(SystemExit) as excinfo:
-        main(["--jobs", "4", "report"])
+        main(argv)
     assert excinfo.value.code == 2
 
 
@@ -263,42 +269,6 @@ def test_exhibit_records_no_spans_without_trace_flag(capsys):
 
     assert main(["exhibit", "fig04"]) == 0
     assert get_tracer().finished() == []
-
-
-# -- profile ------------------------------------------------------------------
-
-
-def test_profile_command_emits_artifact_and_top_generators(capsys, tmp_path):
-    from repro.obs.profiling import profile_from_json
-
-    out = tmp_path / "prof" / "profile.json"
-    folded = tmp_path / "prof" / "stacks.folded"
-    assert main(
-        [
-            "--no-cache",
-            "profile",
-            "--scenario",
-            "small",
-            "--interval",
-            "0.002",
-            "--out",
-            str(out),
-            "--folded",
-            str(folded),
-        ]
-    ) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("profile:")
-    # the acceptance criterion: the profile names top dataset generators
-    assert "dataset generators by self time" in captured.out
-
-    doc = profile_from_json(out.read_text(encoding="utf-8"))
-    assert doc["samples"] > 0
-    assert any(
-        str(row["label"]).startswith("scenario.build.") for row in doc["labels"]
-    )
-    for line in folded.read_text(encoding="utf-8").strip().splitlines():
-        assert line.rpartition(" ")[2].isdigit()
 
 
 # -- bench gate ---------------------------------------------------------------
@@ -367,15 +337,6 @@ def test_report_bytes_unchanged_by_tracing_and_json_logging(capsys):
     traced = capsys.readouterr().out
     # observability writes to stderr only; stdout stays byte-identical
     assert traced == plain
-
-
-def test_serve_ingest_needs_a_single_process(capsys, tmp_path):
-    # The journal's apply thread and the surface hot-swap live in one
-    # process: asking for workers too is a usage error, not a fork.
-    code = main(["serve", "--ingest-dir", str(tmp_path / "wal"), "--workers", "2"])
-    assert code == 2
-    assert "--ingest-dir needs a single process" in capsys.readouterr().err
-    assert not (tmp_path / "wal").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
 """Tests for the dataset dependency graph."""
 
+import ast
+import importlib
+import inspect
 import io
 import pickle
+import sys
 
 import pytest
 
 from repro.columnar import Columnar
-from repro.core.scenario import dataset_names
+from repro.core.scenario import Scenario, dataset_names
 from repro.exec import dag
 from repro.exec.dag import (
     DATASET_DEPS,
@@ -119,3 +123,86 @@ def test_fingerprint_covers_the_modules_a_cached_value_is_made_of(scenario, name
         unpickler.load()
         named = {m for m in unpickler.modules if m.split(".")[0] == "repro"}
     assert named <= set(fingerprint_modules(name))
+
+
+#: Instrumentation and build plumbing: they run in every build but make
+#: none of its value, so no key hashes them.
+_PLUMBING = (
+    "repro.obs", "repro.exec.cache", "repro.exec.retry", "repro.faults.plan",
+    "repro.core.degrade",
+)
+
+
+def _plumbing(module: str) -> bool:
+    return module in _PLUMBING or module.startswith("repro.obs.")
+
+
+def _traced_build(name: str) -> set[str]:
+    """The ``repro.*`` modules whose code runs while *name* builds cold.
+
+    Its dependencies are built first, outside the trace, in the same
+    fresh uncached scenario.
+    """
+    scenario = Scenario()
+    for dep in transitive_dependencies(name):
+        scenario.materialise(dep)
+    ran: set[str] = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            ran.add(frame.f_globals.get("__name__", ""))
+
+    sys.setprofile(profile)
+    try:
+        scenario.materialise(name)
+    finally:
+        sys.setprofile(None)
+    return {module for module in ran if module.split(".")[0] == "repro"}
+
+
+def _from_imports(module: str) -> list[tuple[str, str, str]]:
+    """``(source, name, bound name)`` of *module*'s module-level repro imports.
+
+    Only direct statements of the module body count: imports under
+    ``if TYPE_CHECKING:`` and inside functions are skipped.
+    """
+    tree = ast.parse(inspect.getsource(importlib.import_module(module)))
+    return [
+        (node.module, alias.name, alias.asname or alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    ]
+
+
+def _defining_module(source: str, name: str) -> str:
+    """The module that defines *name* imported from *source*.
+
+    A package re-export resolves through the package's own imports; a
+    submodule imported by name is that submodule.
+    """
+    module = importlib.import_module(source)
+    value = getattr(module, name)
+    if inspect.ismodule(value):
+        return value.__name__
+    if hasattr(module, "__path__"):
+        for origin, original, bound in _from_imports(source):
+            if bound == name:
+                return _defining_module(origin, original)
+    return source
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_fingerprint_covers_the_modules_a_build_runs(name):
+    # An edit to any module whose code runs in a cold build, or whose
+    # names (a call trace cannot see a data-only constant) such a module
+    # imports, must change the key.  repro.core.scenario is hashed whole
+    # and imports every generator, so its own imports are not expanded.
+    ran = {module for module in _traced_build(name) if not _plumbing(module)}
+    imported = {
+        _defining_module(source, original)
+        for module in ran - {"repro.core.scenario"}
+        for source, original, _bound in _from_imports(module)
+    }
+    needed = ran | {module for module in imported if not _plumbing(module)}
+    assert needed - set(fingerprint_modules(name)) == set()

@@ -1,16 +1,15 @@
 """The server end to end: payloads, keep-alive, and the golden plane.
 
-The golden-plane test is the serving contract: a single-process server
-that fills its plane on first request, a server over a sealed store and
-a pre-forked pair all serve every static path with the bytes and ETag of
-the ``build_artifact_store`` artifact, so the fingerprint over the
-served ``(path, sha256)`` pairs is the store's fingerprint.
+The golden-plane test is the serving contract: a server that fills its
+plane on first request and a server over a sealed store both serve
+every static path with the bytes and ETag of the
+``build_artifact_store`` artifact, so the fingerprint over the served
+``(path, sha256)`` pairs is the store's fingerprint.
 """
 
 import hashlib
 import http.client
 import json
-import signal
 import socket
 
 import pytest
@@ -207,9 +206,7 @@ def _error_envelopes(port):
     return {path: _get(port, path)[::2] for path in paths}
 
 
-def test_every_server_serves_the_golden_plane(
-    artifact_plane, aio_served, served, fleet
-):
+def test_every_server_serves_the_golden_plane(artifact_plane, aio_served, served):
     _, store = artifact_plane
     expected = {artifact.path: artifact.sha256 for artifact in store}
     assert len(expected) == len(static_surface())
@@ -225,37 +222,3 @@ def test_every_server_serves_the_golden_plane(
     assert _served_fingerprint(sealed.port, expected) == store.fingerprint()
     assert _error_envelopes(sealed.port) == errors
 
-    # The pre-forked pair serves the plane its supervisor sealed.
-    _session, port, _workers, plane = fleet()
-    fingerprint = _served_fingerprint(port, plane)
-    digest = hashlib.sha256()
-    for path in sorted(plane):
-        digest.update(path.encode("utf-8") + b"\0" + plane[path].encode() + b"\n")
-    assert fingerprint == digest.hexdigest()
-    assert _error_envelopes(port) == errors
-
-
-def test_two_workers_serve_identical_content_addressed_bytes(fleet):
-    """--workers 2: both preforked workers serve the same sealed bytes.
-
-    SO_REUSEPORT spreads fresh connections across the two workers, so
-    hammering one path over many throwaway connections exercises both;
-    every response must be byte-identical with its ETag equal to the
-    body's own SHA-256 (the content address), and SIGTERM must drain
-    the whole tree to a zero exit.
-    """
-    import hashlib
-
-    session, port, _workers, _plane = fleet()
-    for path in ("/v1/exhibits", "/v1/report", "/v1/scorecard/ve"):
-        seen = set()
-        for _ in range(8):  # fresh connection each time: both workers
-            status, headers, body = _get(port, path)
-            assert status == 200, path
-            digest = hashlib.sha256(body).hexdigest()
-            assert headers["ETag"] == f'"{digest}"', path
-            seen.add((headers["ETag"], body))
-        assert len(seen) == 1, f"{path}: workers disagreed"
-
-    session.process.send_signal(signal.SIGTERM)
-    assert session.process.wait(timeout=60) == 0, session.stderr()[-2000:]

@@ -1,7 +1,7 @@
 """Run a Python script in its own session, with every read and wait bounded.
 
-A script that forks (the pre-forked ``run_workers`` fleet) shares its
-stdout pipe with its children.  If one of them outlives the script, an
+A script that forks shares its stdout pipe with its children, and a
+server runs until it is told to stop.  If either outlives the test, an
 unbounded ``communicate()`` or ``readline()`` blocks for as long as it
 lives.  :func:`launch` starts the script as the leader of a new
 session, reads its stdout on a daemon thread so every read takes a
