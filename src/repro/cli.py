@@ -254,8 +254,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verbose=args.verbose,
         deadline_seconds=args.deadline,
         max_inflight=args.max_inflight,
-        trace_sample_rate=args.trace_sample_rate,
-        trace_dir=args.trace_dir,
     )
     if args.ingest_dir:
         from repro.serve.ingestor import enable_ingest
@@ -470,6 +468,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port in 0-65535, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -559,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8321,
         help="bind port (0 picks an ephemeral port)",
     )
@@ -581,20 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="shed (503) requests beyond N concurrently in flight "
         "(healthz/metrics exempt; default: unlimited)",
-    )
-    serve.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="record spans for this fraction of requests (deterministic "
-        "head sampling on the trace id; default: 0, disabled)",
-    )
-    serve.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        default=None,
-        help="export a repro.trace/1 artifact per sampled request into DIR",
     )
     serve.add_argument(
         "--ingest-dir",

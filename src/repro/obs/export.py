@@ -24,8 +24,6 @@ give a before/after profile for perf work.
 from __future__ import annotations
 
 import json
-import os
-import threading
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -33,9 +31,6 @@ from repro.obs.tracing import Tracer, get_tracer
 
 #: Schema identifier stamped into (and required from) every artifact.
 SCHEMA = "repro.obs/1"
-
-#: Schema identifier of the per-request trace artifact.
-TRACE_SCHEMA = "repro.trace/1"
 
 
 def metrics_to_dict(
@@ -91,74 +86,3 @@ def write_metrics_json(
     path.write_text(metrics_to_json(registry, tracer) + "\n", encoding="utf-8")
     return path
 
-
-# -- per-request traces (repro.trace/1) --------------------------------------
-
-
-def trace_to_dict(
-    trace_id: str,
-    spans: list,
-    request_id: str | None = None,
-) -> dict:
-    """One trace's spans as a ``repro.trace/1`` document.
-
-    *spans* are :class:`~repro.obs.tracing.SpanRecord` objects, usually
-    from :meth:`Tracer.take_trace`; the serve dispatcher writes one such
-    document per sampled request, named after the trace id, so a
-    ``traceparent`` seen by a client can be joined to its span tree on
-    disk.
-    """
-    return {
-        "schema": TRACE_SCHEMA,
-        "trace_id": trace_id,
-        "request_id": request_id,
-        "spans": [record.to_dict() for record in spans],
-    }
-
-
-def trace_from_json(text: str) -> dict:
-    """Parse and validate a ``repro.trace/1`` artifact.
-
-    Raises:
-        ValueError: if the document is not a ``repro.trace/1`` artifact
-            or its spans do not all belong to the declared trace.
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"not a {TRACE_SCHEMA} artifact")
-    trace_id = doc.get("trace_id")
-    if not isinstance(trace_id, str) or not trace_id:
-        raise ValueError("artifact missing 'trace_id'")
-    spans = doc.get("spans")
-    if not isinstance(spans, list):
-        raise ValueError("artifact missing 'spans' list")
-    for span in spans:
-        if not isinstance(span, dict) or span.get("trace_id") != trace_id:
-            raise ValueError("artifact contains spans from another trace")
-    return doc
-
-
-def write_trace_json(
-    directory: Path | str,
-    trace_id: str,
-    spans: list,
-    request_id: str | None = None,
-) -> Path:
-    """Write one trace under *directory* as ``trace-<trace_id>.json``.
-
-    The file appears atomically (temp file + ``os.replace``), so a reader
-    polling for it never sees it empty or half written.  The temp name
-    is unique per writing thread: two requests sharing a client trace id
-    may export at once.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"trace-{trace_id}.json"
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    tmp.write_text(
-        json.dumps(trace_to_dict(trace_id, spans, request_id), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-    return path

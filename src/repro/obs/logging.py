@@ -1,20 +1,12 @@
-"""Structured logging with trace/request correlation.
+"""Structured logging: one event plus flat fields per record.
 
 Every log record is an *event* plus flat key/value fields; the sink
 renders it in one of two formats::
 
     --log-format json   {"ts": "...", "level": "error", "event":
-                         "serve.request.error", "request_id": "req-...",
-                         "trace_id": "...", "endpoint": "report", ...}
+                         "serve.request.error", "endpoint": "report", ...}
     --log-format text   2026-08-09T12:00:00Z ERROR serve.request.error
-                         endpoint=report request_id=req-... ...
-
-Correlation is automatic: when an ambient
-:class:`repro.obs.context.TraceContext` is installed (the serve
-dispatcher installs one per request), its ``request_id`` and
-``trace_id`` are stamped onto every record emitted inside the request —
-a 500's traceback, the access log line, and a retry warning deep inside
-a dataset build all share the same ids.
+                         endpoint=report ...
 
 Records go to ``stderr`` by default so command output (reports,
 exhibits, JSON envelopes) stays byte-identical with logging enabled.
@@ -144,13 +136,6 @@ class Logger:
             "logger": self.name,
             "event": event,
         }
-        from repro.obs.context import current_context
-
-        ctx = current_context()
-        if ctx is not None:
-            if ctx.request_id:
-                record["request_id"] = ctx.request_id
-            record["trace_id"] = ctx.trace_id
         for key, value in fields.items():
             record[key] = _scalar(value)
         line = (

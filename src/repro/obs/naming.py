@@ -35,10 +35,8 @@ INGEST_PREFIX = "ingest."
 WAL_PREFIX = "wal."
 RETRY_PREFIX = "retry."
 FAULTS_PREFIX = "faults."
-#: Observability-v2 families (see ``docs/OBSERVABILITY.md``): tracing
-#: bookkeeping and the SLO engine behind ``/v1/slo``.
+#: Tracing bookkeeping (see ``docs/OBSERVABILITY.md``).
 TRACE_PREFIX = "trace."
-SLO_PREFIX = "slo."
 
 
 class MetricNameError(ValueError):

@@ -12,36 +12,36 @@ Usage::
 
 Tracing is **off by default** and the disabled path is near-free:
 :func:`trace_span` returns a shared no-op singleton (no allocation, no
-clock read) unless either global tracing is enabled
-(:func:`enable_tracing`, the CLI's ``--trace`` flag) or the ambient
-:class:`repro.obs.context.TraceContext` is *sampled* — the per-request
-head-sampling path ``repro serve --trace-sample-rate`` turns on.
+clock read) unless global tracing is enabled (:func:`enable_tracing`,
+the CLI's ``--trace`` flag).  A server is traced the same way as any
+other command: ``repro --trace --metrics-json m.json serve``.
 
-Spans are **distributed-trace shaped** (v2): every recorded span carries
-a W3C trace id, its own span id, and its parent's span id.  Parentage
-comes from the per-thread span stack when one is open, falling back to
-the ambient trace context — which is how a request's spans link across
-the serve router, its handler thread and the scenario pool.
-
-Finished spans land in a single process-wide list (lock-protected,
-bounded) ordered for rendering; :meth:`Tracer.take_trace` extracts one
-trace's spans for the per-request ``repro.trace/1`` artifact.
+Every recorded span carries the tracer's session trace id, its own span
+id, and the id of the span open below it on the same thread's stack
+(None for a root).  Finished spans land in a single process-wide list
+(lock-protected, bounded) ordered for rendering.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.obs.context import current_context, new_span_id, new_trace_id
-
 F = TypeVar("F", bound=Callable)
 
-#: Sentinel distinguishing "no explicit parent given" from "root span".
-_UNSET = object()
+
+def new_trace_id() -> str:
+    """A fresh 32-hex-digit (128-bit) trace id."""
+    return os.urandom(16).hex()
+
+
+def new_span_id() -> str:
+    """A fresh 16-hex-digit (64-bit) span id."""
+    return os.urandom(8).hex()
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +54,7 @@ class SpanRecord:
         start: Seconds since the tracer's epoch at span entry.
         duration: Wall-clock seconds spent inside the span.
         thread: Name of the thread that ran the span.
-        trace_id: 32-hex W3C trace id the span belongs to.
+        trace_id: 32-hex id of the tracer session the span belongs to.
         span_id: 16-hex id of this span.
         parent_id: 16-hex id of the parent span, or None for a root.
     """
@@ -108,43 +108,23 @@ class _Span:
         "_trace_id",
         "_span_id",
         "_parent_id",
-        "_sampled",
     )
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        span_id: str | None = None,
-        parent_id: object = _UNSET,
-    ):
+    def __init__(self, tracer: "Tracer", name: str):
         self._tracer = tracer
         self.name = name
-        self._span_id = span_id
-        self._parent_id = parent_id
 
     def __enter__(self) -> "_Span":
         stack = self._tracer._stack()
         self._depth = len(stack)
-        ctx = current_context()
         if stack:
             parent = stack[-1]
             self._trace_id = parent._trace_id
-            self._sampled = parent._sampled
-            if self._parent_id is _UNSET:
-                self._parent_id = parent._span_id
-        elif ctx is not None:
-            self._trace_id = ctx.trace_id
-            self._sampled = ctx.sampled
-            if self._parent_id is _UNSET:
-                self._parent_id = ctx.span_id or None
+            self._parent_id = parent._span_id
         else:
             self._trace_id = self._tracer.trace_id
-            self._sampled = False
-            if self._parent_id is _UNSET:
-                self._parent_id = None
-        if self._span_id is None:
-            self._span_id = new_span_id()
+            self._parent_id = None
+        self._span_id = new_span_id()
         stack.append(self)
         self._t0 = time.perf_counter()
         self._start = self._t0 - self._tracer.epoch
@@ -163,8 +143,8 @@ class _Span:
                 duration=duration,
                 thread=threading.current_thread().name,
                 trace_id=self._trace_id,
-                span_id=self._span_id,  # type: ignore[arg-type]
-                parent_id=self._parent_id,  # type: ignore[arg-type]
+                span_id=self._span_id,
+                parent_id=self._parent_id,
             )
         )
         return False
@@ -174,12 +154,11 @@ class Tracer:
     """Collects spans while enabled; a cheap flag check while not.
 
     Attributes:
-        trace_id: The *session* trace id — the trace spans belong to
-            when no ambient request context is installed (CLI ``--trace``
-            runs form one process-wide trace).
+        trace_id: The *session* trace id every span belongs to (a
+            ``--trace`` run forms one process-wide trace).
         max_finished: Bound on retained finished spans; beyond it new
             spans are counted (``trace.spans.dropped``) and discarded so
-            a long-lived sampled server cannot grow without limit.
+            a long-lived traced server cannot grow without limit.
     """
 
     def __init__(self, enabled: bool = False, max_finished: int = 100_000):
@@ -209,49 +188,16 @@ class Tracer:
 
             get_registry().counter("trace.spans.dropped").inc()
 
-    def span(
-        self,
-        name: str,
-        *,
-        span_id: str | None = None,
-        parent_id: object = _UNSET,
-    ) -> "_Span | _NullSpan":
-        """A context manager for one span (no-op while not recording).
-
-        *span_id* / *parent_id* override id allocation and stack/context
-        parentage — the serve dispatcher uses them to give the request's
-        root span the id already promised in the response ``traceparent``
-        header and the remote caller's span as parent.
-        """
-        if not self._recording():
+    def span(self, name: str) -> "_Span | _NullSpan":
+        """A context manager for one span (no-op while disabled)."""
+        if not self.enabled:
             return _NULL_SPAN
-        return _Span(self, name, span_id, parent_id)
-
-    def _recording(self) -> bool:
-        if self.enabled:
-            return True
-        ctx = current_context()
-        return ctx is not None and ctx.sampled
+        return _Span(self, name)
 
     def finished(self) -> list[SpanRecord]:
         """Finished spans in start order (pre-order of the span tree)."""
         with self._lock:
             return sorted(self._finished, key=lambda r: r.start)
-
-    def take_trace(self, trace_id: str) -> list[SpanRecord]:
-        """Remove and return the finished spans of one trace, start-ordered.
-
-        The per-request ``repro.trace/1`` artifact writer calls this when
-        a sampled request completes, so serve-side traces are exported
-        exactly once and do not accumulate in the global list.
-        """
-        with self._lock:
-            taken = [r for r in self._finished if r.trace_id == trace_id]
-            if taken:
-                self._finished = [
-                    r for r in self._finished if r.trace_id != trace_id
-                ]
-        return sorted(taken, key=lambda r: r.start)
 
     def reset(self) -> None:
         """Drop finished spans, restart the epoch, and re-key the session."""
@@ -281,11 +227,9 @@ def tracing_enabled() -> bool:
 
 
 def trace_span(name: str) -> "_Span | _NullSpan":
-    """Open a named span on the global tracer (no-op while not recording)."""
+    """Open a named span on the global tracer (no-op while disabled)."""
     if not _TRACER.enabled:
-        ctx = current_context()
-        if ctx is None or not ctx.sampled:
-            return _NULL_SPAN
+        return _NULL_SPAN
     return _Span(_TRACER, name)
 
 

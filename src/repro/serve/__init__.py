@@ -19,14 +19,15 @@ path.  The pieces, smallest first:
 * :mod:`repro.serve.server` -- :class:`~repro.serve.server.ServingSurface`,
   one serving generation: context, artifact plane and wire table.
 * :mod:`repro.serve.handlers` -- the endpoint implementations:
-  ``/healthz``, ``/metrics``, ``/v1/slo``, ``/v1/exhibits``,
-  ``/v1/exhibit/<id>``, ``/v1/report``, ``/v1/narrative``,
-  ``/v1/scorecard/<cc>`` and ``POST /v1/ingest/<format>``.
+  ``/healthz``, ``/metrics``, ``/v1/exhibits``, ``/v1/exhibit/<id>``,
+  ``/v1/report``, ``/v1/narrative``, ``/v1/scorecard/<cc>`` and
+  ``POST /v1/ingest/<format>``.
 * :mod:`repro.serve.ingestor` -- durable ingestion behind
   ``POST /v1/ingest``: journal, background apply, surface hot-swap.
 * :mod:`repro.serve.aio` -- the server: one process on one port,
-  keep-alive HTTP/1.1, the live path's hardening and tracing, and a
-  graceful SIGTERM drain.
+  keep-alive HTTP/1.1, the live path's hardening, and a graceful
+  SIGTERM drain.  It is traced like any other command, by the global
+  ``--trace`` flag.
 
 Entry points: ``python -m repro serve`` (CLI) or, embedded::
 

@@ -6,16 +6,15 @@ keep-alive.  The server holds one current
 wire table) and answers each request one of two ways
 (``docs/SERVING.md`` tabulates what each carries):
 
-* **Static** -- an untraced GET whose path is in the wire table: one
-  dict lookup and one ``transport.write`` of a precompiled
-  :class:`memoryview`.  No handler, no locks, no per-request headers.
-* **Live** -- everything else (``/healthz``, ``/metrics``, ``/v1/slo``,
+* **Static** -- a GET whose path is in the wire table: one dict lookup
+  and one ``transport.write`` of a precompiled :class:`memoryview`.  No
+  handler, no locks, no per-request headers.
+* **Live** -- everything else (``/healthz``, ``/metrics``,
   ``POST /v1/ingest/<format>``, errors, case-folded paths, a static
-  path not rendered yet, traced requests).  Handlers run on a small
-  thread pool under a per-request deadline and max-inflight shedding
-  (503 + ``Retry-After``; health endpoints and plane hits exempt);
-  responses carry ``X-Request-Id`` and ``traceparent`` and are recorded
-  in the SLO window and the access log.
+  path not rendered yet).  Handlers run on a small thread pool under a
+  per-request deadline and max-inflight shedding (503 +
+  ``Retry-After``; health endpoints and plane hits exempt); with
+  ``verbose``, each is logged as one access line.
 
 **The world comes first.**  :meth:`AioServer.start` builds the current
 surface's scenario before it creates the listener, so no request waits
@@ -31,10 +30,7 @@ addressed by the SHA-256 of their bytes, so both serve one plane.
 
 An ingest apply publishes a new surface with
 :meth:`AioServer.swap_surface`; ``_process`` reads the surface once per
-call, so a request sees one generation whole.  A request sampled by
-``trace_sample_rate``, or carrying a valid ``traceparent``, records the
-``serve.request.<endpoint>`` root span and, with ``trace_dir`` set,
-exports a ``repro.trace/1`` artifact.
+call, so a request sees one generation whole.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the accept loop, idle
 connections close, and every request already received is answered
@@ -46,7 +42,8 @@ Static responses count into ``serve.requests`` / ``serve.artifact.hit``
 in batches (every :data:`_FLUSH_EVERY` and on disconnect), and one in
 :data:`_TIMER_SAMPLE` lands in the ``serve.request.artifact`` timer;
 live ones count at once and time each handler run or render into
-``serve.request.<endpoint>``.
+``serve.request.<endpoint>``, which is also its span while tracing is
+enabled (``--trace``).  Static hits are never spanned.
 """
 
 from __future__ import annotations
@@ -57,21 +54,11 @@ import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs
 
 from repro.core.degrade import DatasetDegradedError
-from repro.obs import (
-    TraceContext,
-    get_logger,
-    get_registry,
-    get_tracer,
-    new_span_id,
-    start_request_context,
-    use_context,
-    write_trace_json,
-)
+from repro.obs import get_logger, get_registry, trace_span
 from repro.serve.artifacts import Artifact, ArtifactStore, render_artifact
 from repro.serve.handlers import build_router
 from repro.serve.router import (
@@ -122,7 +109,6 @@ def _response_bytes(
     content_type: str,
     etag: str | None,
     extra_headers: dict[str, str] | None,
-    trace_headers: dict[str, str],
     close: bool,
 ) -> bytes:
     """A dynamically assembled HTTP/1.1 response."""
@@ -132,8 +118,6 @@ def _response_bytes(
         lines.append(f"Content-Length: {len(body)}")
     if etag is not None:
         lines.append(f"ETag: {etag}")
-    for name, value in trace_headers.items():
-        lines.append(f"{name}: {value}")
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
     if close:
@@ -179,7 +163,6 @@ class _Request:
     blob: bytes  # the header block, as sent
     lower: bytes  # the header block, lower-cased
     close: bool
-    rc: TraceContext | None = None  # set when the static path traced it
     route: Route | None = None
     params: dict[str, str] = field(default_factory=dict)
     error: HTTPError | None = None  # routing or body-framing failure
@@ -260,7 +243,6 @@ class _AioProtocol(asyncio.Protocol):
         server = self.server
         surface = server.surface  # one generation for every request below
         wire = surface.wire
-        sample_rate = server.trace_sample_rate
         out: list[bytes | memoryview] = []
         sampling_t0 = 0.0
         while True:
@@ -277,7 +259,7 @@ class _AioProtocol(asyncio.Protocol):
                     out.append(
                         _response_bytes(
                             400, error_bytes(400, "header block too large"),
-                            JSON_CONTENT_TYPE, None, None, {}, close=True,
+                            JSON_CONTENT_TYPE, None, None, close=True,
                         )
                     )
                     self._close_after = True
@@ -293,7 +275,7 @@ class _AioProtocol(asyncio.Protocol):
                 out.append(
                     _response_bytes(
                         400, error_bytes(400, "malformed request line"),
-                        JSON_CONTENT_TYPE, None, None, {}, close=True,
+                        JSON_CONTENT_TYPE, None, None, close=True,
                     )
                 )
                 self._close_after = True
@@ -312,11 +294,6 @@ class _AioProtocol(asyncio.Protocol):
                 wants_close = "close" in tokens or (
                     wants_close and "keep-alive" not in tokens
                 )
-            rc = None
-            if entry is not None and (sample_rate or b"traceparent" in lower):
-                rc = server._request_context(headers_blob, lower)
-                if rc.sampled or rc.remote:
-                    entry = None  # a traced request takes the live path
 
             if entry is not None:
                 # The static plane: sealed bytes, no handler, no locks.
@@ -359,7 +336,6 @@ class _AioProtocol(asyncio.Protocol):
                 headers_blob,
                 lower,
                 wants_close,
-                rc,
             )
             try:
                 request.route, request.params = server.router.match(
@@ -462,7 +438,7 @@ class AioServer:
     handling) or ``await server.start()`` inside an existing loop.
 
     Args:
-        context: Shared pool/params/SLO context of the first surface.
+        context: Shared pool/params context of the first surface.
         artifacts: A sealed store to serve from the first request; None
             starts with an empty plane that fills as each static path is
             first requested (see the module docstring's plane rule).
@@ -475,10 +451,6 @@ class AioServer:
         verbose: Log one access line per live request.
         sock: Pre-bound listening socket (``repro serve`` binds its
             port before it builds anything); overrides host/port.
-        trace_sample_rate: Fraction of requests traced (deterministic
-            head sampling on the trace id; 0 disables).
-        trace_dir: Directory traced requests export ``repro.trace/1``
-            artifacts into; None keeps spans in memory.
     """
 
     def __init__(
@@ -492,8 +464,6 @@ class AioServer:
         max_inflight: int | None = None,
         verbose: bool = False,
         sock: socket.socket | None = None,
-        trace_sample_rate: float = 0.0,
-        trace_dir: Path | str | None = None,
     ) -> None:
         #: The current serving generation; replaced whole by
         #: :meth:`swap_surface`.
@@ -504,8 +474,6 @@ class AioServer:
         self.deadline_seconds = deadline_seconds
         self.max_inflight = max_inflight
         self.verbose = verbose
-        self.trace_sample_rate = trace_sample_rate
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._sock = sock
         self._connections: set[_AioProtocol] = set()
         self._tasks: set[asyncio.Task] = set()
@@ -641,65 +609,34 @@ class AioServer:
 
     # -- the live path -------------------------------------------------------
 
-    def _request_context(self, blob: bytes, lower: bytes) -> TraceContext:
-        return start_request_context(
-            traceparent=_header_value(blob, lower, b"traceparent"),
-            request_id=_header_value(blob, lower, b"x-request-id"),
-            sample_rate=self.trace_sample_rate,
-            accept=_header_value(blob, lower, b"accept") or "",
-        )
-
     async def _answer(self, request: _Request) -> bytes:
         """Answer one live request; returns the full response bytes."""
         get_registry().counter("serve.requests").inc()
-        rc = request.rc or self._request_context(request.blob, request.lower)
-        root_parent = None
-        if rc.remote:
-            # The caller's span parents this request's root span, whose
-            # id the response's traceparent promises.
-            root_parent = rc.span_id
-            rc = rc.child(new_span_id())
         t0 = time.perf_counter()
         if request.error is not None:
             outcome = _error(request.error)
         else:
-            outcome = await self._respond(request, rc, root_parent)
-        status = outcome[0]
-        duration = time.perf_counter() - t0
-        slo = request.surface.context.slo
-        if slo is not None:
-            slo.record(ok=status < 500, latency_seconds=duration)
+            outcome = await self._respond(request)
         if self.verbose:
             _LOG.info(
                 "serve.request.access",
-                method=request.method, path=request.path, status=status,
-                duration_ms=round(duration * 1e3, 2),
+                method=request.method, path=request.path, status=outcome[0],
+                duration_ms=round((time.perf_counter() - t0) * 1e3, 2),
                 endpoint=request.route.name if request.route else None,
             )
-        trace_headers = {
-            "X-Request-Id": rc.request_id,
-            "traceparent": rc.traceparent(),
-        }
-        return _response_bytes(*outcome, trace_headers, request.close)
+        return _response_bytes(*outcome, request.close)
 
-    async def _respond(
-        self, request: _Request, rc: TraceContext, root_parent: str | None
-    ) -> _Outcome:
+    async def _respond(self, request: _Request) -> _Outcome:
         route = request.route
         assert route is not None
-        artifact = (
-            request.surface.find(route.name, request.params)
-            if route.cacheable
-            else None
-        )
-        if artifact is not None and not rc.sampled:
-            return _artifact_outcome(artifact, request, hit=True)
+        if route.cacheable:
+            artifact = request.surface.find(route.name, request.params)
+            if artifact is not None:
+                return _artifact_outcome(artifact, request, hit=True)
 
         registry = get_registry()
         shed_guarded = (
-            self.max_inflight is not None
-            and route.name not in _SHED_EXEMPT
-            and artifact is None
+            self.max_inflight is not None and route.name not in _SHED_EXEMPT
         )
         if shed_guarded and self._inflight >= self.max_inflight:
             registry.counter("serve.requests.shed").inc()
@@ -712,27 +649,20 @@ class AioServer:
         if shed_guarded:
             self._inflight += 1
         try:
-            result = await self._call_handler(request, rc, root_parent, artifact)
+            result = await self._call_handler(request)
         finally:
             if shed_guarded:
                 self._inflight -= 1
         if isinstance(result, Artifact):
-            return _artifact_outcome(result, request, hit=artifact is not None)
+            return _artifact_outcome(result, request, hit=False)
         return result
 
-    async def _call_handler(
-        self,
-        request: _Request,
-        rc: TraceContext,
-        root_parent: str | None,
-        artifact: Artifact | None,
-    ) -> "_Outcome | Artifact":
+    async def _call_handler(self, request: _Request) -> "_Outcome | Artifact":
         """Run the handler (or the plane render) on the thread pool.
 
-        Inside the request's trace context, root span and endpoint
-        timer; the loop side enforces the deadline.  A cacheable route
-        yields an :class:`Artifact` -- *artifact* itself when the plane
-        already holds it, else a fresh render.
+        Inside the endpoint's span and timer; the loop side enforces the
+        deadline.  A cacheable route yields the freshly rendered
+        :class:`Artifact`.
         """
         assert self._loop is not None
         route = request.route
@@ -740,19 +670,11 @@ class AioServer:
         context = request.surface.context
         deadline = self.deadline_seconds
         registry = get_registry()
+        name = f"serve.request.{route.name}"
 
         def call() -> "_Outcome | Artifact":
-            with use_context(rc):
-                try:
-                    with get_tracer().span(
-                        f"serve.request.{route.name}",
-                        span_id=rc.span_id,
-                        parent_id=root_parent,
-                    ):
-                        with registry.timer(f"serve.request.{route.name}").time():
-                            result = artifact or _render(route, context, request)
-                finally:
-                    self._export_trace(rc)
+            with trace_span(name), registry.timer(name).time():
+                result = _render(route, context, request)
             if isinstance(result, Artifact):
                 return result
             if isinstance(result, RawResponse):
@@ -761,7 +683,7 @@ class AioServer:
 
         try:
             future = self._loop.run_in_executor(self._executor, call)
-            if artifact is None and route.cacheable:
+            if route.cacheable:
                 # A render lands in the surface the request captured, even
                 # one that finishes after the request's deadline.
                 future.add_done_callback(
@@ -797,26 +719,14 @@ class AioServer:
             _LOG.exception("serve.request.error", exc, endpoint=route.name)
             return _error(HTTPError(500, "internal server error"))
 
-    def _export_trace(self, rc: TraceContext) -> None:
-        """Write the request's ``repro.trace/1`` artifact when sampled."""
-        if not rc.sampled or self.trace_dir is None:
-            return
-        spans = get_tracer().take_trace(rc.trace_id)
-        if not spans:
-            return
-        try:
-            write_trace_json(self.trace_dir, rc.trace_id, spans, rc.request_id)
-        except OSError as exc:
-            _LOG.warning(
-                "serve.trace.export_failed", trace_id=rc.trace_id, error=str(exc)
-            )
-
 
 def _render(route: Route, context: "ServeContext", request: _Request):
     """One live render: the plane's render for a cacheable route, else the handler."""
     if route.cacheable:
         return render_artifact(context, route.name, request.params)
     kwargs: dict[str, object] = dict(request.params)
+    if route.name == "metrics":
+        kwargs["accept"] = _header_value(request.blob, request.lower, b"accept")
     if route.accepts_body:
         kwargs["body"] = request.body
         kwargs["meta"] = {

@@ -25,13 +25,7 @@ from repro.core.narrative import all_findings, format_findings
 from repro.core.report import render_report
 from repro.core.scorecard import NonLacnicCountryError, build_scorecard
 from repro.geo.countries import UnknownCountryError
-from repro.obs import (
-    SLOTracker,
-    current_context,
-    negotiates_openmetrics,
-    render_metrics,
-    render_openmetrics,
-)
+from repro.obs import negotiates_openmetrics, render_metrics, render_openmetrics
 from repro.obs.openmetrics import CONTENT_TYPE as OPENMETRICS_CONTENT_TYPE
 from repro.serve.pool import ScenarioPool
 from repro.serve.router import HTTPError, RawResponse, Router
@@ -42,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class ServeContext:
-    """What every handler gets: pool, parameter set, and the SLO tracker.
+    """What every handler gets: the pool and the parameter set it serves.
 
     ``ingest`` is the durable ingestion front-end (a
     :class:`~repro.serve.ingestor.ServeIngestor`) when the server was
@@ -52,7 +46,6 @@ class ServeContext:
 
     pool: ScenarioPool
     params: dict[str, object] = field(default_factory=dict)
-    slo: SLOTracker = field(default_factory=SLOTracker)
     ingest: object | None = None
 
     def scenario(self) -> "Scenario":
@@ -136,7 +129,6 @@ def handle_healthz(ctx: ServeContext) -> dict:
     payload: dict[str, object] = {
         "status": "degraded" if degraded else "ok",
         "exhibits": len(exhibit_ids()),
-        "slo": ctx.slo.healthz_fields(),
     }
     if degraded:
         payload["degraded_datasets"] = degraded
@@ -193,16 +185,15 @@ def handle_ingest(
     return receipt.to_dict()
 
 
-def handle_metrics(ctx: ServeContext) -> RawResponse:
+def handle_metrics(ctx: ServeContext, accept: str | None = None) -> RawResponse:
     """GET /metrics — the live ``repro.obs`` registry.
 
-    Content-negotiated: an ``Accept`` header carrying
+    Content-negotiated on the request's *accept* header: one carrying
     ``application/openmetrics-text`` (what a Prometheus scraper sends)
     gets the spec-shaped OpenMetrics exposition; everything else keeps
     the human-readable text tables.
     """
-    request = current_context()
-    if request is not None and negotiates_openmetrics(request.accept):
+    if negotiates_openmetrics(accept):
         return RawResponse(
             render_openmetrics().encode("utf-8"),
             content_type=OPENMETRICS_CONTENT_TYPE,
@@ -211,17 +202,11 @@ def handle_metrics(ctx: ServeContext) -> RawResponse:
     return RawResponse(body.encode("utf-8") + b"\n")
 
 
-def handle_slo(ctx: ServeContext) -> dict:
-    """GET /v1/slo — rolling-window objectives, compliance, burn rates."""
-    return ctx.slo.summary()
-
-
 def build_router() -> Router:
     """The full API routing table."""
     router = Router()
     router.add("healthz", "GET", "/healthz", handle_healthz, cacheable=False)
     router.add("metrics", "GET", "/metrics", handle_metrics, cacheable=False)
-    router.add("slo", "GET", "/v1/slo", handle_slo, cacheable=False)
     router.add("exhibits", "GET", "/v1/exhibits", handle_exhibits)
     router.add("exhibit", "GET", "/v1/exhibit/{exhibit_id}", handle_exhibit)
     router.add("report", "GET", "/v1/report", handle_report)

@@ -131,9 +131,6 @@ class ServeIngestor:
                 previous=old.context.pool.peek(**old.context.params),
             )
             context = result.context
-            # The new generation inherits the serving identity that must
-            # span swaps: the SLO window and this ingest front-end.
-            context.slo = old.context.slo
             context.ingest = self
             self.server.swap_surface(context, result.store)
             self._record_freshness(result.applied_seq)

@@ -244,15 +244,31 @@ def test_no_cache_flag_skips_the_cache(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--jobs", "4", "report"], ["serve", "--workers", "2"], ["profile"]],
-    ids=["jobs", "workers", "profile"],
+    [
+        ["--jobs", "4", "report"],
+        ["serve", "--workers", "2"],
+        ["profile"],
+        ["serve", "--trace-sample-rate", "1"],
+        ["serve", "--trace-dir", "D"],
+    ],
+    ids=["jobs", "workers", "profile", "trace-sample-rate", "trace-dir"],
 )
 def test_there_is_no_jobs_flag(argv):
-    # Builds are serial, one process serves one port, and cProfile
-    # profiles: each retired option or command is a usage error.
+    # Builds are serial, one process serves one port, cProfile profiles,
+    # and a server is traced by the global --trace: each retired option
+    # or command is a usage error.
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_port_out_of_range_is_a_usage_error(port, tmp_path):
+    # Rejected while parsing: nothing binds and no journal is created.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--port", port, "--ingest-dir", str(tmp_path / "wal")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "wal").exists()
 
 
 def test_trace_flag_records_spans(capsys):

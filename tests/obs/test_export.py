@@ -125,85 +125,3 @@ def test_global_span_export_via_trace_span():
     doc = metrics_from_json(metrics_to_json())
     assert any(s["name"] == "export.check.run" for s in doc["spans"])
 
-
-# -- trace artifacts ----------------------------------------------------------
-
-
-def _span(name, span_id, parent_id, trace_id="ab" * 16):
-    from repro.obs.tracing import SpanRecord
-
-    return SpanRecord(
-        name=name,
-        depth=0,
-        start=0.0,
-        duration=0.001,
-        thread="main",
-        trace_id=trace_id,
-        span_id=span_id,
-        parent_id=parent_id,
-    )
-
-
-def test_trace_artifact_roundtrip(tmp_path):
-    from repro.obs.export import trace_from_json, write_trace_json
-
-    spans = [
-        _span("serve.request.report", "aa" * 8, None),
-        _span("serve.pool.build", "bb" * 8, "aa" * 8),
-    ]
-    path = write_trace_json(tmp_path / "traces", "ab" * 16, spans, "req-1234")
-    assert path.name == f"trace-{'ab' * 16}.json"
-    doc = trace_from_json(path.read_text(encoding="utf-8"))
-    assert doc["schema"] == "repro.trace/1"
-    assert doc["trace_id"] == "ab" * 16
-    assert doc["request_id"] == "req-1234"
-    assert [s["name"] for s in doc["spans"]] == [
-        "serve.request.report",
-        "serve.pool.build",
-    ]
-    assert doc["spans"][1]["parent_id"] == "aa" * 8
-
-
-def test_trace_artifact_is_never_read_partial(tmp_path):
-    # A reader polling for the file (the serve tests do) must only ever
-    # see a complete document, even while the same trace is rewritten.
-    import threading
-
-    from repro.obs.export import trace_from_json, write_trace_json
-
-    spans = [_span(f"s{i}", f"{i:016x}", None) for i in range(2000)]
-    directory = tmp_path / "traces"
-    path = directory / f"trace-{'ab' * 16}.json"
-    done = threading.Event()
-
-    def rewrite():
-        for _ in range(10):
-            write_trace_json(directory, "ab" * 16, spans)
-        done.set()
-
-    writer = threading.Thread(target=rewrite)
-    writer.start()
-    try:
-        while not done.is_set():
-            if path.exists():
-                doc = trace_from_json(path.read_text(encoding="utf-8"))
-                assert len(doc["spans"]) == 2000
-    finally:
-        writer.join(timeout=60)
-    assert not writer.is_alive()
-    assert [p.name for p in directory.iterdir()] == [path.name]  # no temp left
-
-
-def test_trace_from_json_rejects_bad_documents():
-    import json as json_mod
-
-    import pytest
-
-    from repro.obs.export import trace_from_json, trace_to_dict
-
-    with pytest.raises(ValueError, match="repro.trace/1"):
-        trace_from_json(json_mod.dumps({"schema": "other"}))
-    # a span from a different trace cannot sneak into the artifact
-    doc = trace_to_dict("ab" * 16, [_span("x.y", "aa" * 8, None, trace_id="cd" * 16)])
-    with pytest.raises(ValueError, match="trace"):
-        trace_from_json(json_mod.dumps(doc))

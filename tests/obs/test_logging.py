@@ -1,10 +1,9 @@
-"""Tests for structured logging and its trace correlation."""
+"""Tests for structured logging: record fields, levels and rendering."""
 
 import json
 
 import pytest
 
-from repro.obs.context import start_request_context, use_context
 from repro.obs.logging import (
     CapturedLogs,
     configure_logging,
@@ -30,18 +29,6 @@ def test_json_record_fields(sink):
     assert record["answer"] == 42
     assert record["name"] == "x"
     assert "ts" in record
-
-
-def test_trace_correlation_is_automatic(sink):
-    ctx = start_request_context(sample_rate=0.0)
-    with use_context(ctx):
-        get_logger("repro.test").info("test.event.inside")
-    get_logger("repro.test").info("test.event.outside")
-    inside, outside = sink.records()
-    assert inside["request_id"] == ctx.request_id
-    assert inside["trace_id"] == ctx.trace_id
-    assert "request_id" not in outside
-    assert "trace_id" not in outside
 
 
 def test_level_gate():

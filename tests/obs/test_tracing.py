@@ -1,4 +1,4 @@
-"""Tests for the span tracer: nesting, threading, disabled-path overhead."""
+"""Tests for the span tracer: ids, nesting, threading, disabled-path overhead."""
 
 import threading
 import time
@@ -11,7 +11,7 @@ from repro.obs import (
     traced,
     tracing_enabled,
 )
-from repro.obs.tracing import _NULL_SPAN
+from repro.obs.tracing import _NULL_SPAN, new_span_id, new_trace_id
 
 
 def test_tracing_disabled_by_default():
@@ -164,3 +164,45 @@ def test_tracer_reset_clears_spans():
     assert get_tracer().finished()
     get_tracer().reset()
     assert get_tracer().finished() == []
+
+
+# -- ids ----------------------------------------------------------------------
+
+
+def test_id_shapes():
+    assert len(new_trace_id()) == 32
+    assert int(new_trace_id(), 16) != 0
+    assert len(new_span_id()) == 16
+
+
+def test_ids_are_unique():
+    ids = {new_span_id() for _ in range(1000)}
+    assert len(ids) == 1000
+
+
+def test_ids_are_unique_across_threads():
+    collected: list[str] = []
+    lock = threading.Lock()
+
+    def worker():
+        local = [new_trace_id() for _ in range(200)]
+        with lock:
+            collected.extend(local)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(set(collected)) == len(collected) == 800
+
+
+def test_spans_share_the_session_trace_and_link_to_their_parent():
+    enable_tracing(True)
+    with trace_span("outer.span.run"):
+        with trace_span("inner.span.run"):
+            pass
+    outer, inner = get_tracer().finished()
+    assert {inner.trace_id, outer.trace_id} == {get_tracer().trace_id}
+    assert inner.parent_id == outer.span_id
+    assert outer.parent_id is None

@@ -79,13 +79,11 @@ def test_case_folded_scorecard_serves_canonical_bytes(aio_served):
 
 def test_dynamic_endpoints_live(aio_served):
     server = aio_served()
-    status, headers, body = _get(server.port, "/healthz")
+    status, _, body = _get(server.port, "/healthz")
     assert status == 200
     assert json.loads(body)["data"]["status"] == "ok"
-    assert headers["X-Request-Id"].startswith("req-")
-    status, _, body = _get(server.port, "/v1/slo")
-    assert status == 200
-    assert isinstance(json.loads(body)["data"], dict)
+    status, _, _ = _get(server.port, "/v1/slo")
+    assert status == 404
     status, _, body = _get(server.port, "/metrics")
     assert status == 200
     assert body
