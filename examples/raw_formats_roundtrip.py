@@ -15,7 +15,7 @@ Usage::
 import sys
 from pathlib import Path
 
-from repro.atlas.synthetic import synthesize_gpdns_campaign
+from repro.atlas.synthetic import synthesize_gpdns_columns
 from repro.core import Scenario
 from repro.bgp.asrel import parse_asrel
 from repro.bgp.prefix2as import parse_prefix2as
@@ -63,7 +63,7 @@ def main() -> int:
     # Atlas traceroute results (one monthly window, Venezuela).
     atlas_path = out / "atlas-msm-1591146.jsonl"
     results = list(
-        synthesize_gpdns_campaign(
+        synthesize_gpdns_columns(
             scenario.probes, start=month, end=month, countries=["VE"]
         )
     )

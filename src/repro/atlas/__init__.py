@@ -24,11 +24,7 @@ Modules:
 from repro.atlas.dnsbuiltin import DNSBuiltinResult
 from repro.atlas.probes import Probe, ProbeRegistry
 from repro.atlas.rttmodel import GPDNS_MSM_ID, gpdns_probe_rtt, gpdns_target_rtt
-from repro.atlas.synthetic import (
-    synthesize_chaos_campaign,
-    synthesize_gpdns_campaign,
-    synthesize_probe_registry,
-)
+from repro.atlas.synthetic import synthesize_probe_registry
 from repro.atlas.traceroute import Hop, TracerouteResult
 
 __all__ = [
@@ -40,7 +36,5 @@ __all__ = [
     "TracerouteResult",
     "gpdns_probe_rtt",
     "gpdns_target_rtt",
-    "synthesize_chaos_campaign",
-    "synthesize_gpdns_campaign",
     "synthesize_probe_registry",
 ]

@@ -6,10 +6,10 @@ The probe fleet is calibrated to Fig. 17: roughly 300 regional probes in
 
 Two campaign generators replay the paper's data collection:
 
-* :func:`synthesize_gpdns_campaign` -- the platform-wide traceroutes to
+* :func:`synthesize_gpdns_columns` -- the platform-wide traceroutes to
   8.8.8.8 (Fig. 12 / Fig. 20), with per-probe RTTs from
   :mod:`repro.atlas.rttmodel`.
-* :func:`synthesize_chaos_campaign` -- the built-in CHAOS TXT queries to
+* :func:`synthesize_chaos_columns` -- the built-in CHAOS TXT queries to
   the 13 roots (Fig. 6 / 16 / 17), with anycast site selection modelled
   as domestic-first round-robin, a pre-2021 US/EU routing policy for
   probes lacking domestic sites, and a post-2020 regional shift to
@@ -19,12 +19,11 @@ Two campaign generators replay the paper's data collection:
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.atlas.columns import ChaosColumns, TracerouteColumns
-from repro.atlas.dnsbuiltin import DNSBuiltinResult
 from repro.atlas.probes import Probe, ProbeRegistry
 from repro.atlas.rttmodel import (
     CAMPAIGN_END,
@@ -288,25 +287,6 @@ def synthesize_gpdns_columns(
     )
 
 
-def synthesize_gpdns_campaign(
-    registry: ProbeRegistry,
-    start: Month = CAMPAIGN_START,
-    end: Month = CAMPAIGN_END,
-    samples_per_month: int = 2,
-    countries: Sequence[str] | None = None,
-) -> Iterator[TracerouteResult]:
-    """Record-view wrapper over :func:`synthesize_gpdns_columns`."""
-    return iter(
-        synthesize_gpdns_columns(
-            registry,
-            start=start,
-            end=end,
-            samples_per_month=samples_per_month,
-            countries=countries,
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # CHAOS campaign
 # ---------------------------------------------------------------------------
@@ -539,44 +519,3 @@ def synthesize_chaos_columns(
         **columns,
     )
 
-
-def synthesize_chaos_campaign(
-    registry: ProbeRegistry,
-    deployment: RootDeployment,
-    start: Month = Month(2016, 1),
-    end: Month = Month(2024, 1),
-    letters: Iterable[str] = ROOT_LETTERS,
-    countries: Sequence[str] | None = None,
-) -> Iterator[DNSBuiltinResult]:
-    """Record-view wrapper over :func:`synthesize_chaos_columns`.
-
-    Yields the historical wire-level :class:`DNSBuiltinResult` records,
-    built lazily from the column batch.
-    """
-    batch = synthesize_chaos_columns(
-        registry,
-        deployment,
-        start=start,
-        end=end,
-        letters=letters,
-        countries=countries,
-    )
-    months = {
-        o: Month.from_ordinal(o)
-        for o in np.unique(batch.month_ordinal).tolist()
-    }
-    rows = zip(
-        batch.month_ordinal.tolist(),
-        batch.probe_id.tolist(),
-        batch.probe_country_idx.tolist(),
-        batch.letter_idx.tolist(),
-        batch.answer_idx.tolist(),
-    )
-    for mo, probe_id, cc, letter, answer in rows:
-        yield DNSBuiltinResult(
-            probe_id=probe_id,
-            probe_country=batch.countries[cc],
-            root_letter=batch.letters[letter],
-            answer=batch.answers[answer],
-            month=months[mo],
-        )

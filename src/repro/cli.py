@@ -252,8 +252,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeContext(pool=ScenarioPool(cache=cache, strict=args.strict)),
         sock=sock,
         verbose=args.verbose,
-        deadline_seconds=args.deadline,
-        max_inflight=args.max_inflight,
     )
     if args.ingest_dir:
         from repro.serve.ingestor import enable_ingest
@@ -263,7 +261,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.ingest_dir,
             cache=cache,
             strict=args.strict,
-            max_backlog=args.ingest_max_backlog,
         )
     print(
         f"serving on http://{args.host}:{sock.getsockname()[1]} "
@@ -333,7 +330,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.ingest.service import (
-        DEFAULT_MAX_BACKLOG,
         IngestBacklogError,
         IngestService,
         IngestValidationError,
@@ -344,7 +340,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     # truncated, and the last checkpoint read before anything new lands.
     service = IngestService(
         args.wal_dir,
-        max_backlog=args.max_backlog or DEFAULT_MAX_BACKLOG,
         strict=args.strict,
     )
     try:
@@ -462,15 +457,21 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
 def _port(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 65535:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value <= 65535:
         raise argparse.ArgumentTypeError(f"must be a port in 0-65535, got {text!r}")
     return value
 
@@ -572,36 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log each request to stderr"
     )
     serve.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request deadline; requests that cannot finish in time "
-        "get a 503 with Retry-After (default: no deadline)",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="shed (503) requests beyond N concurrently in flight "
-        "(healthz/metrics exempt; default: unlimited)",
-    )
-    serve.add_argument(
         "--ingest-dir",
         metavar="DIR",
         default=None,
         help="enable POST /v1/ingest/<format>, journaling batches into "
         "this write-ahead-log directory and hot-swapping the serving "
         "surface after each rebuild",
-    )
-    serve.add_argument(
-        "--ingest-max-backlog",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="reject (429 + Retry-After) new ingest batches beyond N "
-        "acked-but-unapplied (default: 64)",
     )
     serve.set_defaults(fn=_cmd_serve)
 
@@ -746,13 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write a repro.ingest-run/1 JSON receipt (ack + checkpoint "
         "fingerprints) to PATH",
-    )
-    ingest.add_argument(
-        "--max-backlog",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="backlog bound for admission control (default: 64)",
     )
     ingest.add_argument(
         "--ndt-tests-per-month", type=_positive_int, default=40

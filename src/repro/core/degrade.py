@@ -1,8 +1,8 @@
 """Graceful degradation: the sentinel a failed dataset build leaves behind.
 
 In lenient mode (``Scenario(strict=False)``, the CLI and server default)
-a dataset build that still fails after its retries does not abort the
-scenario: the slot is filled with a :class:`DegradedDataset` sentinel.
+a dataset build that fails does not abort the scenario: the slot is
+filled with a :class:`DegradedDataset` sentinel.
 Touching the dataset afterwards raises :class:`DatasetDegradedError` — a
 *typed* failure dependent code can catch to render "k/n datasets
 available" coverage annotations instead of a traceback (see
@@ -25,16 +25,14 @@ class DegradedDataset:
 
     Attributes:
         name: The dataset property name (``"peeringdb"``, ...).
-        reason: One-line cause, e.g. the final build error.
-        attempts: How many build attempts were made before giving up.
+        reason: One-line cause, e.g. the build error.
     """
 
     name: str
     reason: str
-    attempts: int = 1
 
     def render(self) -> str:
-        return f"{self.name}: {self.reason} (after {self.attempts} attempt{'s' if self.attempts != 1 else ''})"
+        return f"{self.name}: {self.reason}"
 
 
 class DatasetDegradedError(RuntimeError):

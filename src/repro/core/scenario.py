@@ -35,15 +35,14 @@ cache, the ``scenario.cache.hit`` counter instead (see
 ``python -m repro stats`` can attribute a slow scenario to the dataset
 responsible.
 
-Builds are also *resilient* (see ``docs/RELIABILITY.md``): each build
-attempt runs under a bounded-backoff :class:`repro.exec.retry.RetryPolicy`
-with deterministic jitter, an optional
+Builds are also *resilient* (see ``docs/RELIABILITY.md``): an optional
 :class:`repro.faults.plan.FaultPlan` gates built values through seeded
 byte corruption (the ``repro chaos`` harness), and in lenient mode
-(``strict=False``) a build that exhausts its retries leaves a
+(``strict=False``) a failed build leaves a
 :class:`repro.core.degrade.DegradedDataset` sentinel instead of raising —
 dependent exhibits then render coverage annotations via the typed
-:class:`repro.core.degrade.DatasetDegradedError`.
+:class:`repro.core.degrade.DatasetDegradedError`.  A build runs once:
+every generator is seeded, so a second attempt would fail the same way.
 
 Swapping in real data: every property returns the parsed-data type of its
 substrate (archives, datasets, registries), so a pipeline over real
@@ -71,7 +70,6 @@ from repro.atlas.synthetic import (
 from repro.bgp.archive import ASRelArchive, Prefix2ASArchive
 from repro.bgp.synthetic import synthesize_asrel_archive, synthesize_prefix2as_archive
 from repro.core.degrade import DatasetDegradedError, DegradedDataset
-from repro.exec.retry import DEFAULT_RETRY, RetryPolicy, retry_call
 from repro.ipv6.model import AdoptionDataset
 from repro.ipv6.synthetic import synthesize_ipv6_adoption
 from repro.macro.store import IndicatorStore
@@ -154,11 +152,9 @@ class Scenario:
         strict: ``True`` (the library default) fails fast — a dataset
             build error propagates out of the access, the historical
             behaviour.  ``False`` (the CLI/server default) degrades: a
-            build that exhausts its retries stores a
-            :class:`DegradedDataset` sentinel and later accesses raise
-            the typed :class:`DatasetDegradedError` instead.
-        retry: Backoff policy for failed build attempts; ``None`` uses
-            :data:`repro.exec.retry.DEFAULT_RETRY`.
+            build that fails stores a :class:`DegradedDataset` sentinel
+            and later accesses raise the typed
+            :class:`DatasetDegradedError` instead.
         fault_plan: Optional seeded corruption plan gating every build
             (the ``repro chaos`` harness); ``None`` injects nothing.
             Like ``cache``, the reliability knobs are excluded from
@@ -179,7 +175,6 @@ class Scenario:
     overlay: object | None = field(default=None, repr=False)
     cache: "DatasetCache | None" = field(default=None, compare=False, repr=False)
     strict: bool = field(default=True, compare=False, repr=False)
-    retry: RetryPolicy | None = field(default=None, compare=False, repr=False)
     fault_plan: "FaultPlan | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -223,13 +218,12 @@ class Scenario:
         reads ``probes``); those nest into different per-name locks and
         the dependency graph is acyclic, so no lock cycle can form.
 
-        Failure handling: build attempts retry under :attr:`retry`
-        (bounded backoff, deterministic jitter).  When every attempt
-        fails, strict mode re-raises the final error; lenient mode
+        Failure handling: the thunk (then the fault gate) runs once.
+        When it fails, strict mode re-raises the error; lenient mode
         stores a :class:`DegradedDataset` sentinel, so the failure is
         paid once and every access raises the typed
-        :class:`DatasetDegradedError`.  A dependency's degradation is
-        never retried — it cascades immediately.
+        :class:`DatasetDegradedError`.  A dependency's degradation
+        cascades the same way.
         """
         with self._lock_for(name, self._dataset_locks):
             if name not in self._materialised:
@@ -263,22 +257,10 @@ class Scenario:
                 registry.counter("scenario.cache.corrupt").inc()
             registry.counter("scenario.cache.miss").inc()
 
-        policy = self.retry if self.retry is not None else DEFAULT_RETRY
-
-        def build_once() -> T:
+        try:
             value = thunk()
             if self.fault_plan is not None:
                 value = self.fault_plan.gate(name, value)  # type: ignore[assignment]
-            return value
-
-        try:
-            value = retry_call(
-                build_once,
-                policy=policy,
-                token=name,
-                seed=self.seed,
-                non_retryable=(DatasetDegradedError,),
-            )
         except DatasetDegradedError as err:
             if self.strict:
                 raise
@@ -286,7 +268,6 @@ class Scenario:
             return DegradedDataset(
                 name=name,
                 reason=f"dependency {err.name!r} degraded: {err.reason}",
-                attempts=1,
             )
         except Exception as exc:
             if self.strict:
@@ -295,7 +276,6 @@ class Scenario:
             return DegradedDataset(
                 name=name,
                 reason=f"{type(exc).__name__}: {exc}",
-                attempts=policy.attempts,
             )
 
         if self.cache is not None:
@@ -329,7 +309,7 @@ class Scenario:
         *thunk*, and every later or racing caller gets the same object.
         Keys live in their own namespace, apart from dataset names.  A
         thunk that raises stores nothing, so the next call runs it
-        again.  No cache, retry, fault plan or overlay is involved: the
+        again.  No cache, fault plan or overlay is involved: the
         thunk reads datasets through the properties, which already
         apply them.
 

@@ -11,8 +11,6 @@
   a versioned, checksummed envelope: raw column buffers for columnar
   values, a pickle for the rest.  Corrupt entries are quarantined
   (renamed, never trusted) and rebuilt.
-* :mod:`repro.exec.retry` -- bounded exponential backoff with
-  deterministic jitter for dataset builds (see ``docs/RELIABILITY.md``).
 
 Every build is serial: ``Scenario.build_all()`` materialises the
 datasets one after another (threads only contend for the GIL over
@@ -36,20 +34,15 @@ from repro.exec.dag import (
     transitive_dependencies,
     validate_graph,
 )
-from repro.exec.retry import DEFAULT_RETRY, NO_RETRY, RetryPolicy, retry_call
 
 __all__ = [
     "CACHE_SCHEMA",
     "CacheInfo",
     "DATASET_DEPS",
-    "DEFAULT_RETRY",
     "DatasetCache",
-    "NO_RETRY",
-    "RetryPolicy",
     "code_fingerprint",
     "default_cache_dir",
     "dependencies",
-    "retry_call",
     "topological_order",
     "transitive_dependencies",
     "validate_graph",

@@ -32,13 +32,12 @@ from repro.obs import get_registry, trace_span
 
 #: Counter families embedded in the artifact's ``metrics`` section.
 #: Deliberately counters-only and delta-based: every family here counts
-#: deterministic, seed-derived events (quarantined records, retries,
-#: injected faults, dataset builds), so the chaos artifact stays
-#: byte-identical across runs — timers and gauges carry wall-clock noise
-#: and are excluded.
+#: deterministic, seed-derived events (quarantined records, injected
+#: faults, dataset builds), so the chaos artifact stays byte-identical
+#: across runs — timers and gauges carry wall-clock noise and are
+#: excluded.
 _METRIC_PREFIXES = (
     "ingest.",
-    "retry.",
     "faults.",
     "scenario.dataset.",
 )

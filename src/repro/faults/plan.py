@@ -6,17 +6,14 @@ application is derived from ``sha256(seed, dataset, injector index,
 context)``, so the same plan and seed always produce byte-identical
 corrupted output — across runs, machines, and thread schedules.
 
-A plan can be pointed at three surfaces:
+A plan can be pointed at two surfaces:
 
 * **Raw bytes** — :meth:`FaultPlan.corrupt` (tests, the ingestion drill).
-* **Files on disk** — :meth:`FaultPlan.corrupt_file` /
-  :meth:`FaultPlan.corrupt_tree` wrap a generator/export output directory
-  or a :class:`~repro.exec.cache.DatasetCache` root in place.
 * **Live builds** — :meth:`FaultPlan.gate` round-trips a freshly built
   dataset through its pickled wire bytes, corrupts them, and re-parses;
   a corruption the codec cannot survive surfaces as
   :class:`InjectedCorruptionError`, which the Scenario build machinery
-  retries and then degrades on (see ``docs/RELIABILITY.md``).
+  degrades on (see ``docs/RELIABILITY.md``).
 
 Every application is logged into :attr:`FaultPlan.injections` so the
 chaos report can state exactly what was damaged and how.
@@ -29,7 +26,6 @@ import pickle
 import random
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from repro.faults.injectors import Injector, injector_by_name
@@ -120,10 +116,6 @@ class FaultPlan:
 
     # -- introspection -------------------------------------------------------
 
-    def targets(self) -> set[str]:
-        """Datasets this plan corrupts."""
-        return {spec.dataset for spec in self.specs}
-
     def specs_for(self, dataset: str) -> list[FaultSpec]:
         """The specs targeting *dataset*, in declaration order."""
         return [s for s in self.specs if s.dataset == dataset]
@@ -176,35 +168,6 @@ class FaultPlan:
             get_registry().counter("faults.injected").inc()
         return data
 
-    def corrupt_file(self, path: Path | str, dataset: str) -> bool:
-        """Corrupt one file in place; returns whether anything changed."""
-        path = Path(path)
-        if not self.specs_for(dataset):
-            return False
-        clean = path.read_bytes()
-        damaged = self.corrupt(dataset, clean, context=path.name)
-        if damaged == clean:
-            return False
-        path.write_bytes(damaged)
-        return True
-
-    def corrupt_tree(self, root: Path | str) -> list[Path]:
-        """Corrupt every file under *root* whose name mentions a target.
-
-        Wraps a generator/export output directory (``repro export``
-        layouts) or a :class:`~repro.exec.cache.DatasetCache` root: a
-        file belongs to dataset *d* when its name contains *d*.  Files
-        are visited in sorted order so the injection log is stable.
-        """
-        root = Path(root)
-        touched: list[Path] = []
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            for dataset in sorted(self.targets()):
-                if dataset in path.name and self.corrupt_file(path, dataset):
-                    touched.append(path)
-                    break
-        return touched
-
     def gate(self, dataset: str, value: object) -> object:
         """Round-trip a built dataset through corrupted pickle bytes.
 
@@ -215,7 +178,7 @@ class FaultPlan:
         Corruption mild enough to survive the round trip returns the
         damaged-but-parseable value; anything else raises
         :class:`InjectedCorruptionError` for the build machinery to
-        retry and degrade on.  Untargeted datasets pass through.
+        degrade on.  Untargeted datasets pass through.
         """
         specs = self.specs_for(dataset)
         if not specs:

@@ -25,7 +25,6 @@ from repro.mlab.ndt import NDTResult, parse_ndt_jsonl, write_ndt_jsonl
 from repro.mlab.synthetic import (
     NDTLoadModel,
     median_target,
-    synthesize_ndt_tests,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "median_download_by_asn",
     "median_target",
     "parse_ndt_jsonl",
-    "synthesize_ndt_tests",
     "measurement_count_panel",
     "write_ndt_jsonl",
 ]

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.mlab.columns import NDTColumns
-from repro.mlab.ndt import NDTResult
 from repro.obs import get_registry
 from repro.timeseries.month import Month, month_range
 
@@ -264,13 +262,3 @@ def synthesize_ndt_columns(model: NDTLoadModel = NDTLoadModel()) -> NDTColumns:
         for name, parts in chunks.items()
     }
     return NDTColumns(countries=countries, **columns)
-
-
-def synthesize_ndt_tests(model: NDTLoadModel = NDTLoadModel()) -> Iterator[NDTResult]:
-    """Generate the synthetic test stream, month-major then country order.
-
-    Record-view wrapper over :func:`synthesize_ndt_columns`, kept for
-    callers that want the historical ``Iterator[NDTResult]`` shape.  The
-    stream is fully deterministic for a given model configuration.
-    """
-    return iter(synthesize_ndt_columns(model))

@@ -28,12 +28,11 @@ EXHIBIT_RUN_PREFIX = "exhibit.run."
 SCENARIO_CACHE_PREFIX = "scenario.cache."
 SERVE_REQUEST_PREFIX = "serve.request."
 #: Reliability families (see ``docs/RELIABILITY.md``): per-parser
-#: quarantine counters, build retries, and injected faults.
+#: quarantine counters and injected faults.
 INGEST_PREFIX = "ingest."
 #: The durable ingestion journal (see ``docs/INGEST.md``): appends,
 #: replays, torn-tail truncations, checkpoints.
 WAL_PREFIX = "wal."
-RETRY_PREFIX = "retry."
 FAULTS_PREFIX = "faults."
 #: Tracing bookkeeping (see ``docs/OBSERVABILITY.md``).
 TRACE_PREFIX = "trace."

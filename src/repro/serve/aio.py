@@ -11,10 +11,9 @@ wire table) and answers each request one of two ways
   handler, no locks, no per-request headers.
 * **Live** -- everything else (``/healthz``, ``/metrics``,
   ``POST /v1/ingest/<format>``, errors, case-folded paths, a static
-  path not rendered yet).  Handlers run on a small thread pool under a
-  per-request deadline and max-inflight shedding (503 +
-  ``Retry-After``; health endpoints and plane hits exempt); with
-  ``verbose``, each is logged as one access line.
+  path not rendered yet).  Handlers run on a small thread pool, which
+  bounds how many run at once; with ``verbose``, each is logged as one
+  access line.
 
 **The world comes first.**  :meth:`AioServer.start` builds the current
 surface's scenario before it creates the listener, so no request waits
@@ -90,10 +89,6 @@ _REASONS = {
     422: "Unprocessable Entity", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
-
-#: Endpoints exempt from load shedding: health must stay observable
-#: exactly when the server is saturated.
-_SHED_EXEMPT = ("healthz", "metrics")
 
 #: A live outcome: status, body, content type, ETag, extra headers.
 _Outcome = tuple[int, bytes, str, "str | None", "dict[str, str] | None"]
@@ -445,9 +440,6 @@ class AioServer:
         host, port: Bind address (port 0 picks an ephemeral port).
         router: Route table for the live path (default
             :func:`~repro.serve.handlers.build_router`).
-        deadline_seconds: Wall-time budget per live request.
-        max_inflight: Live requests allowed in flight before shedding
-            with 503 (``/healthz``, ``/metrics`` and plane hits exempt).
         verbose: Log one access line per live request.
         sock: Pre-bound listening socket (``repro serve`` binds its
             port before it builds anything); overrides host/port.
@@ -460,8 +452,6 @@ class AioServer:
         host: str = "127.0.0.1",
         port: int = 0,
         router: Router | None = None,
-        deadline_seconds: float | None = None,
-        max_inflight: int | None = None,
         verbose: bool = False,
         sock: socket.socket | None = None,
     ) -> None:
@@ -471,8 +461,6 @@ class AioServer:
         self.router = router if router is not None else build_router()
         self.host = host
         self.port = port
-        self.deadline_seconds = deadline_seconds
-        self.max_inflight = max_inflight
         self.verbose = verbose
         self._sock = sock
         self._connections: set[_AioProtocol] = set()
@@ -481,7 +469,6 @@ class AioServer:
         self._listener: asyncio.AbstractServer | None = None
         self._draining = False
         self._drained: asyncio.Event | None = None
-        self._inflight = 0
         self._executor = ThreadPoolExecutor(
             max_workers=8, thread_name_prefix="repro-aio-dyn"
         )
@@ -634,41 +621,23 @@ class AioServer:
             if artifact is not None:
                 return _artifact_outcome(artifact, request, hit=True)
 
-        registry = get_registry()
-        shed_guarded = (
-            self.max_inflight is not None and route.name not in _SHED_EXEMPT
-        )
-        if shed_guarded and self._inflight >= self.max_inflight:
-            registry.counter("serve.requests.shed").inc()
-            return _error(
-                HTTPError(
-                    503, "server saturated; request shed",
-                    headers={"Retry-After": "1"},
-                )
-            )
-        if shed_guarded:
-            self._inflight += 1
-        try:
-            result = await self._call_handler(request)
-        finally:
-            if shed_guarded:
-                self._inflight -= 1
+        result = await self._call_handler(request)
         if isinstance(result, Artifact):
+            # On the loop thread, into the surface the request captured.
+            request.surface.remember(result)
             return _artifact_outcome(result, request, hit=False)
         return result
 
     async def _call_handler(self, request: _Request) -> "_Outcome | Artifact":
         """Run the handler (or the plane render) on the thread pool.
 
-        Inside the endpoint's span and timer; the loop side enforces the
-        deadline.  A cacheable route yields the freshly rendered
-        :class:`Artifact`.
+        Inside the endpoint's span and timer.  A cacheable route yields
+        the freshly rendered :class:`Artifact`.
         """
         assert self._loop is not None
         route = request.route
         assert route is not None
         context = request.surface.context
-        deadline = self.deadline_seconds
         registry = get_registry()
         name = f"serve.request.{route.name}"
 
@@ -682,27 +651,9 @@ class AioServer:
             return 200, envelope_bytes(result), JSON_CONTENT_TYPE, None, None
 
         try:
-            future = self._loop.run_in_executor(self._executor, call)
-            if route.cacheable:
-                # A render lands in the surface the request captured, even
-                # one that finishes after the request's deadline.
-                future.add_done_callback(
-                    lambda done: _remember(request.surface, done)
-                )
-            if deadline is not None:
-                return await asyncio.wait_for(asyncio.shield(future), deadline)
-            return await future
+            return await self._loop.run_in_executor(self._executor, call)
         except HTTPError as err:
             return _error(err)
-        except asyncio.TimeoutError:
-            registry.counter("serve.deadline.expired").inc()
-            assert deadline is not None
-            return _error(
-                HTTPError(
-                    503, f"request deadline of {deadline:.1f}s expired",
-                    headers={"Retry-After": "1"}, reason="DeadlineExpired",
-                )
-            )
         except DatasetDegradedError as err:
             # Every static endpoint annotates degradation instead (report
             # and scorecard coverage, exhibit and narrative placeholders);
@@ -733,14 +684,6 @@ def _render(route: Route, context: "ServeContext", request: _Request):
             key: values[-1] for key, values in parse_qs(request.query).items()
         }
     return route.handler(context, **kwargs)
-
-
-def _remember(surface: ServingSurface, render: asyncio.Future) -> None:
-    """Memoize a finished render into *surface* (runs on the loop)."""
-    if not render.cancelled() and render.exception() is None:
-        result = render.result()
-        if isinstance(result, Artifact):
-            surface.remember(result)
 
 
 def _artifact_outcome(artifact: Artifact, request: _Request, hit: bool) -> _Outcome:
@@ -783,8 +726,6 @@ def create_aio_server(
     params: dict[str, object] | None = None,
     verbose: bool = False,
     strict: bool = False,
-    deadline_seconds: float | None = None,
-    max_inflight: int | None = None,
     artifacts: ArtifactStore | None = None,
     context: "ServeContext | None" = None,
     sock: socket.socket | None = None,
@@ -811,8 +752,6 @@ def create_aio_server(
         artifacts,
         host=host,
         port=port,
-        deadline_seconds=deadline_seconds,
-        max_inflight=max_inflight,
         verbose=verbose,
         sock=sock,
     )

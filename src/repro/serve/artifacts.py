@@ -16,9 +16,9 @@ bytes are the same, so a plane filled on first request and a plane
 sealed up front have the same fingerprint.
 
 Because every artifact records its content address, a served byte
-stream is traceable to its inputs: :meth:`ArtifactStore.manifest`
-emits the ``repro.artifacts/1`` inventory (path, endpoint, sha256,
-size) and a combined fingerprint over the whole plane.
+stream is traceable to its inputs: :meth:`ArtifactStore.fingerprint`
+combines every path and content address into one digest of the whole
+plane.
 
 Observability: the build runs under the ``serve.artifacts.build`` timer
 and sets the ``serve.artifacts.count`` / ``serve.artifacts.bytes``
@@ -40,10 +40,6 @@ from repro.serve.router import JSON_CONTENT_TYPE, envelope_bytes, etag_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.handlers import ServeContext
-
-#: Schema identifier of the store manifest.
-MANIFEST_SCHEMA = "repro.artifacts/1"
-
 
 @dataclass(frozen=True, slots=True)
 class Artifact:
@@ -217,24 +213,6 @@ class ArtifactStore:
             digest.update(artifact.sha256.encode("ascii"))
             digest.update(b"\n")
         return digest.hexdigest()
-
-    def manifest(self) -> dict:
-        """The ``repro.artifacts/1`` inventory of the sealed plane."""
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "count": len(self),
-            "total_bytes": self.total_bytes,
-            "fingerprint": self.fingerprint(),
-            "artifacts": [
-                {
-                    "path": artifact.path,
-                    "endpoint": artifact.endpoint,
-                    "sha256": artifact.sha256,
-                    "bytes": len(artifact.body),
-                }
-                for _, artifact in sorted(self._by_path.items())
-            ],
-        }
 
 
 def route_params(artifact: Artifact) -> dict[str, str]:

@@ -32,7 +32,7 @@ class HTTPError(Exception):
     Attributes:
         status: HTTP status code (404, 405, 422, ...).
         message: Human-readable one-liner for the envelope.
-        headers: Extra response headers (``Retry-After`` on 503s).
+        headers: Extra response headers (``Retry-After`` on an ingest 429).
         extra: Additional envelope fields (``hint``, ``known``, ...).
     """
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atlas import synthesize_chaos_campaign, synthesize_gpdns_campaign
+from repro.atlas.synthetic import synthesize_chaos_columns, synthesize_gpdns_columns
 from repro.atlas.rttmodel import GPDNS_MSM_ID
 from repro.timeseries import Month
 
@@ -37,7 +37,7 @@ def test_probe_ids_unique(registry):
 
 def test_gpdns_campaign_structure(registry):
     results = list(
-        synthesize_gpdns_campaign(
+        synthesize_gpdns_columns(
             registry, start=Month(2023, 12), end=Month(2023, 12), countries=["VE"]
         )
     )
@@ -53,7 +53,7 @@ def test_gpdns_min_is_first_sample(registry):
     from repro.atlas.traceroute import min_rtt_per_probe_month
 
     results = list(
-        synthesize_gpdns_campaign(
+        synthesize_gpdns_columns(
             registry, start=Month(2023, 12), end=Month(2023, 12),
             samples_per_month=3, countries=["VE"],
         )
@@ -64,7 +64,7 @@ def test_gpdns_min_is_first_sample(registry):
 
 def test_chaos_campaign_one_answer_per_probe_letter(registry, scenario):
     results = list(
-        synthesize_chaos_campaign(
+        synthesize_chaos_columns(
             registry, scenario.root_deployment,
             start=Month(2020, 1), end=Month(2020, 1), countries=["VE"],
         )
@@ -77,27 +77,35 @@ def test_chaos_campaign_one_answer_per_probe_letter(registry, scenario):
 def test_chaos_results_json_roundtrip(registry, scenario):
     from repro.atlas import DNSBuiltinResult
 
-    results = list(
-        synthesize_chaos_campaign(
+    observations = list(
+        synthesize_chaos_columns(
             registry, scenario.root_deployment,
             start=Month(2020, 1), end=Month(2020, 1), countries=["VE"],
             letters=["F"],
         )
     )
-    for r in results[:5]:
-        again = DNSBuiltinResult.from_json(r.to_json())
-        assert again == r
+    for obs in observations[:5]:
+        result = DNSBuiltinResult(
+            probe_id=obs.probe_id,
+            probe_country=obs.probe_country,
+            root_letter=obs.letter,
+            answer=obs.answer,
+            month=obs.month,
+        )
+        again = DNSBuiltinResult.from_json(result.to_json())
+        assert again == result
+        assert again.to_observation() == obs
 
 
 def test_ve_chaos_domestic_then_foreign(registry, scenario):
     def answers(month):
         return {
-            r.root_letter: r.answer
-            for r in synthesize_chaos_campaign(
+            obs.letter: obs.answer
+            for obs in synthesize_chaos_columns(
                 registry, scenario.root_deployment,
                 start=month, end=month, countries=["VE"],
             )
-            if r.probe_id == 1000
+            if obs.probe_id == 1000
         }
 
     early = answers(Month(2017, 1))

@@ -250,25 +250,46 @@ def test_no_cache_flag_skips_the_cache(tmp_path, capsys):
         ["profile"],
         ["serve", "--trace-sample-rate", "1"],
         ["serve", "--trace-dir", "D"],
+        ["serve", "--deadline", "1"],
+        ["serve", "--max-inflight", "1"],
+        ["serve", "--ingest-max-backlog", "1"],
+        ["ingest", "ndt", "--wal-dir", "W", "--max-backlog", "1"],
     ],
-    ids=["jobs", "workers", "profile", "trace-sample-rate", "trace-dir"],
+    ids=[
+        "jobs", "workers", "profile", "trace-sample-rate", "trace-dir",
+        "deadline", "max-inflight", "ingest-max-backlog", "max-backlog",
+    ],
 )
 def test_there_is_no_jobs_flag(argv):
     # Builds are serial, one process serves one port, cProfile profiles,
-    # and a server is traced by the global --trace: each retired option
-    # or command is a usage error.
+    # a server is traced by the global --trace, the thread pool bounds
+    # live work and the ingest backlog bound is fixed: each retired
+    # option or command is a usage error.
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("port", ["70000", "-1"])
-def test_serve_port_out_of_range_is_a_usage_error(port, tmp_path):
+@pytest.mark.parametrize("port", ["70000", "-1", "abc"])
+def test_serve_port_out_of_range_is_a_usage_error(port, tmp_path, capsys):
     # Rejected while parsing: nothing binds and no journal is created.
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--port", port, "--ingest-dir", str(tmp_path / "wal")])
     assert excinfo.value.code == 2
     assert not (tmp_path / "wal").exists()
+    err = capsys.readouterr().err
+    assert f"must be a port in 0-65535, got '{port}'" in err
+    assert "_port" not in err
+
+
+def test_non_integer_count_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["export", str(tmp_path / "out"), "--ndt-tests-per-month", "x"])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "must be a positive integer, got 'x'" in err
+    assert "_positive_int" not in err
 
 
 def test_trace_flag_records_spans(capsys):

@@ -50,17 +50,6 @@ def test_strict_flag_is_global_and_defaults_off():
     assert args.strict is True
 
 
-def test_serve_parser_accepts_hardening_flags():
-    args = build_parser().parse_args(
-        ["serve", "--deadline", "2.5", "--max-inflight", "8"]
-    )
-    assert args.deadline == 2.5
-    assert args.max_inflight == 8
-    args = build_parser().parse_args(["serve"])
-    assert args.deadline is None
-    assert args.max_inflight is None
-
-
 def test_chaos_strict_propagates_the_failure():
     with pytest.raises(Exception):
         main(["--strict", "chaos", "--inject", "cables:truncate"])

@@ -63,7 +63,7 @@ def test_materialise_returns_the_sentinel():
     value = scenario.materialise("cables")
     assert isinstance(value, DegradedDataset)
     assert value.name == "cables"
-    assert "cables" in value.render()
+    assert value.render() == f"cables: {value.reason}"
     # Healthy datasets come back as themselves.
     assert not isinstance(scenario.materialise("macro"), DegradedDataset)
 
@@ -90,25 +90,33 @@ def test_degradation_is_memoised_not_retried_per_access():
     assert get_registry().counter("scenario.dataset.degraded").value == 1
 
 
-def test_failed_build_retries_before_degrading():
+def test_failed_build_runs_once(monkeypatch):
+    # Builds are seeded, so a second attempt would reproduce the first
+    # attempt's bytes and fail the same way: a failure degrades at once.
+    from repro.core import scenario as scenario_module
+
+    calls = []
+    generate = scenario_module.synthesize_cable_map
+
+    def counted():
+        calls.append(1)
+        return generate()
+
+    monkeypatch.setattr(scenario_module, "synthesize_cable_map", counted)
     scenario = _degraded_scenario()
-    scenario.materialise("cables")
-    registry = get_registry()
-    # Default policy: 3 attempts = 2 retries, then give-up.
-    assert registry.counter("retry.attempts").value == 2
-    assert registry.counter("retry.giveups").value == 1
+    assert isinstance(scenario.materialise("cables"), DegradedDataset)
+    assert len(calls) == 1
+    assert get_registry().counter("faults.injected").value == 1
 
 
 def test_dependency_degradation_cascades_without_retry():
     # offnets depends on populations: degrading the parent must degrade
-    # the child with a reason naming the dependency, and the cascade must
-    # not burn retry attempts (it would fail identically every time).
+    # the child with a reason naming the dependency.
     scenario = _degraded_scenario(dataset="populations")
     value = scenario.materialise("offnets")
     assert isinstance(value, DegradedDataset)
     assert "dependency 'populations' degraded" in value.reason
     assert get_registry().counter("scenario.dataset.degraded").value == 2
-    assert get_registry().counter("retry.giveups").value == 1  # parent only
 
 
 # -- exhibits and report -------------------------------------------------------

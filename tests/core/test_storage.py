@@ -15,15 +15,15 @@ def stored(tmp_path_factory):
     caches with narrow windows, so the round-trip stays fast.
     """
     from repro.atlas.synthetic import (
-        synthesize_chaos_campaign,
-        synthesize_gpdns_campaign,
+        synthesize_chaos_columns,
+        synthesize_gpdns_columns,
         synthesize_probe_registry,
     )
     from repro.bgp.synthetic import (
         synthesize_asrel_archive,
         synthesize_prefix2as_archive,
     )
-    from repro.mlab.synthetic import NDTLoadModel, synthesize_ndt_tests
+    from repro.mlab.synthetic import NDTLoadModel, synthesize_ndt_columns
     from repro.peeringdb.synthetic import synthesize_peeringdb_archive
 
     scenario = Scenario()
@@ -34,16 +34,15 @@ def stored(tmp_path_factory):
     registry = synthesize_probe_registry()
     scenario.__dict__["probes"] = registry
     scenario.__dict__["gpdns_traceroutes"] = list(
-        synthesize_gpdns_campaign(registry, start=window[0], end=window[1])
+        synthesize_gpdns_columns(registry, start=window[0], end=window[1])
     )
-    scenario.__dict__["chaos_observations"] = [
-        r.to_observation()
-        for r in synthesize_chaos_campaign(
+    scenario.__dict__["chaos_observations"] = list(
+        synthesize_chaos_columns(
             registry, scenario.root_deployment, start=window[0], end=window[1]
         )
-    ]
+    )
     scenario.__dict__["ndt_tests"] = list(
-        synthesize_ndt_tests(
+        synthesize_ndt_columns(
             NDTLoadModel(tests_per_month=3, start=window[0], end=window[1])
         )
     )

@@ -116,7 +116,7 @@ def test_loaded_batch_views_are_zero_copy_reads(tmp_path, scenario):
 
 def test_degraded_sentinel_round_trips(tmp_path):
     cache = DatasetCache(tmp_path / "c")
-    sentinel = DegradedDataset(name="macro", reason="boom", attempts=3)
+    sentinel = DegradedDataset(name="macro", reason="boom")
     cache.store("macro", PARAMS, sentinel)
     assert cache.load("macro", PARAMS) == sentinel
 

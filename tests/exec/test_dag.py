@@ -128,8 +128,7 @@ def test_fingerprint_covers_the_modules_a_cached_value_is_made_of(scenario, name
 #: Instrumentation and build plumbing: they run in every build but make
 #: none of its value, so no key hashes them.
 _PLUMBING = (
-    "repro.obs", "repro.exec.cache", "repro.exec.retry", "repro.faults.plan",
-    "repro.core.degrade",
+    "repro.obs", "repro.exec.cache", "repro.faults.plan", "repro.core.degrade",
 )
 
 

@@ -82,12 +82,3 @@ def test_gate_survivable_damage_returns_reparsed_value():
     value = {"k": [1, 2, 3]}
     assert plan.gate("cables", value) == value
 
-
-def test_corrupt_tree_targets_matching_files(tmp_path):
-    (tmp_path / "cables-abc.pkl").write_bytes(SAMPLE)
-    (tmp_path / "macro-def.pkl").write_bytes(SAMPLE)
-    plan = FaultPlan.single("cables", "truncate", seed=0)
-    touched = plan.corrupt_tree(tmp_path)
-    assert [p.name for p in touched] == ["cables-abc.pkl"]
-    assert (tmp_path / "cables-abc.pkl").read_bytes() == SAMPLE[: len(SAMPLE) // 2]
-    assert (tmp_path / "macro-def.pkl").read_bytes() == SAMPLE

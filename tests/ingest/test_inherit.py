@@ -15,7 +15,6 @@ from repro.core import Scenario, exhibit_ids
 from repro.core.report import render_report
 from repro.core.scorecard import build_scorecard
 from repro.exec import DatasetCache
-from repro.exec.retry import RetryPolicy
 from repro.ingest.service import IngestService, apply_ingest
 from repro.mlab.ndt import NDTResult
 from repro.obs import get_registry, parse_openmetrics, render_openmetrics
@@ -212,7 +211,7 @@ def test_a_degraded_dataset_is_rebuilt_and_its_readers_recomputed(
     # The world seals its whole plane, annotating what read the cables.
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.scenario.synthesize_cable_map", broken)
-        world = Scenario(strict=False, retry=RetryPolicy(attempts=1), **SMALL)
+        world = Scenario(strict=False, **SMALL)
         world.build_all()
         assert "COVERAGE: 15/16" in render_report(world)
         assert build_scorecard(world, "VE").degraded_panels == 1

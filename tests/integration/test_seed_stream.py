@@ -15,7 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.mlab.synthetic import NDTLoadModel, synthesize_ndt_tests
+from repro.mlab.synthetic import NDTLoadModel, synthesize_ndt_columns
 
 _PINS = json.loads(
     (Path(__file__).resolve().parent.parent / "data" / "seed_stream_pins.json")
@@ -77,6 +77,6 @@ def test_alternate_model_matches_seed_pins():
     # A different seed and size, so the pin cannot accidentally pass via
     # the default-parameter cache of some shared fixture.
     pins = _PINS["small_ndt"]
-    rows = list(synthesize_ndt_tests(NDTLoadModel(seed=7, tests_per_month=3)))
+    rows = list(synthesize_ndt_columns(NDTLoadModel(seed=7, tests_per_month=3)))
     assert len(rows) == pins["rows"]
     assert _digest(rows, _ndt_row) == pins["digest"]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.mlab import NDTLoadModel, median_download_panel, median_target, synthesize_ndt_tests
-from repro.mlab.synthetic import calibrated_countries
+from repro.mlab import NDTLoadModel, median_download_panel, median_target
+from repro.mlab.synthetic import calibrated_countries, synthesize_ndt_columns
 from repro.timeseries import Month, stagnation_months
 
 
@@ -70,14 +70,14 @@ def test_normalised_trajectory(panel):
 
 def test_generation_deterministic():
     model = NDTLoadModel(tests_per_month=5, start=Month(2020, 1), end=Month(2020, 3))
-    a = [r.to_json() for r in synthesize_ndt_tests(model)]
-    b = [r.to_json() for r in synthesize_ndt_tests(model)]
+    a = [r.to_json() for r in synthesize_ndt_columns(model)]
+    b = [r.to_json() for r in synthesize_ndt_columns(model)]
     assert a == b
 
 
 def test_generation_covers_all_countries():
     model = NDTLoadModel(tests_per_month=2, start=Month(2020, 1), end=Month(2020, 1))
-    seen = {r.country for r in synthesize_ndt_tests(model)}
+    seen = {r.country for r in synthesize_ndt_columns(model)}
     assert seen == set(calibrated_countries())
     assert "VE" in seen and len(seen) >= 25
 

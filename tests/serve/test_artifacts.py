@@ -87,18 +87,6 @@ def test_fingerprint_is_the_manifest_digest(artifact_plane):
     assert store.fingerprint() == digest.hexdigest()
 
 
-def test_manifest_lists_every_artifact(artifact_plane):
-    _, store = artifact_plane
-    manifest = store.manifest()
-    assert manifest["schema"] == "repro.artifacts/1"
-    assert manifest["fingerprint"] == store.fingerprint()
-    assert manifest["count"] == len(store)
-    assert manifest["total_bytes"] == store.total_bytes
-    paths = [entry["path"] for entry in manifest["artifacts"]]
-    assert paths == sorted(paths)
-    assert len(paths) == len(store)
-
-
 def test_a_seal_computes_each_exhibit_and_scorecard_panel_once(
     artifact_plane, monkeypatch
 ):

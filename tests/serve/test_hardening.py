@@ -1,4 +1,4 @@
-"""Serve hardening: error envelopes, shedding, deadlines, health.
+"""Serve hardening: error envelopes and health.
 
 These tests use throwaway single-process servers (the ``served``
 factory) over a pool seeded with the session scenario or a tiny
@@ -6,15 +6,13 @@ scenario, so nothing here pays a full-size build.
 """
 
 import json
-import threading
-import time
 import urllib.error
 import urllib.request
 
 from repro.core import Scenario
 from repro.faults import FaultPlan
 from repro.obs import get_registry
-from repro.serve import ScenarioPool, ServeContext, handlers
+from repro.serve import ScenarioPool, ServeContext
 
 SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
@@ -99,74 +97,3 @@ def test_healthz_reports_degraded_while_report_still_serves(served):
     report = json.loads(body)["data"]["report"]
     assert "COVERAGE: 15/16 datasets available" in report
 
-
-# -- load shedding ------------------------------------------------------------
-
-
-def test_saturated_server_sheds_with_503_and_retry_after(served, scenario):
-    server = served(max_inflight=1)
-    release = threading.Event()
-    entered = threading.Event()
-
-    def slow(ctx):
-        entered.set()
-        release.wait(timeout=30)
-        return {"ok": True}
-
-    server.router.add("slow", "GET", "/slow", slow, cacheable=False)
-
-    results = []
-    blocker = threading.Thread(
-        target=lambda: results.append(_get(server, "/slow"))
-    )
-    blocker.start()
-    try:
-        assert entered.wait(timeout=10)
-        status, headers, body = _get(server, "/v1/exhibits")
-        assert status == 503
-        assert headers["Retry-After"] == "1"
-        doc = json.loads(body)
-        assert doc["error"]["message"] == "server saturated; request shed"
-        assert get_registry().counter("serve.requests.shed").value == 1
-        # Health stays observable exactly when the server is saturated.
-        status, _, body = _get(server, "/healthz")
-        assert status == 200
-    finally:
-        release.set()
-        blocker.join(timeout=10)
-    assert results[0][0] == 200  # the in-flight request still completed
-
-
-def test_unsaturated_server_does_not_shed(served):
-    server = served(max_inflight=2)
-    status, _, _ = _get(server, "/v1/exhibits")
-    assert status == 200
-    assert get_registry().counter("serve.requests.shed").value == 0
-
-
-# -- deadlines ----------------------------------------------------------------
-
-
-def test_render_past_its_deadline_still_fills_the_plane(served, monkeypatch):
-    # The first /v1/report renders for longer than the deadline: that
-    # request gets its 503, but the render lands in the plane, so a
-    # later request is served from it instead of timing out again.
-    # The session scenario may already hold every exhibit, which makes
-    # the real render fast; the handler is slowed past the deadline.
-    render_report = handlers.handle_report
-
-    def slow_report(ctx):
-        time.sleep(0.2)
-        return render_report(ctx)
-
-    monkeypatch.setattr(handlers, "handle_report", slow_report)
-    server = served(deadline_seconds=0.05)
-    status, headers, body = _get(server, "/v1/report")
-    assert status == 503
-    assert json.loads(body)["error"]["reason"] == "DeadlineExpired"
-    deadline = time.monotonic() + 60
-    while server.surface.find("report", {}) is None:
-        assert time.monotonic() < deadline, "the render never landed"
-        time.sleep(0.05)
-    status, _, _ = _get(server, "/v1/report")
-    assert status == 200
