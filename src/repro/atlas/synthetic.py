@@ -31,7 +31,6 @@ from repro.atlas.rttmodel import (
     GPDNS_MSM_ID,
     gpdns_probe_rtt,
 )
-from repro.atlas.traceroute import Hop, TracerouteResult
 from repro.geo.countries import country as geo_country
 from repro.geo.venezuela import VE_CITIES
 from repro.obs import get_registry
@@ -161,36 +160,6 @@ def synthesize_probe_registry() -> ProbeRegistry:
 # ---------------------------------------------------------------------------
 
 GPDNS_ADDR = "8.8.8.8"
-
-
-def _traceroute(probe: Probe, month: Month, sample: int, final_rtt: float) -> TracerouteResult:
-    """One synthetic traceroute with a plausible hop structure.
-
-    The penultimate hop carries the serving GPDNS frontend's edge address
-    (see :mod:`repro.atlas.frontends`), so path-based frontend inference
-    works on the synthetic campaign.
-    """
-    from repro.atlas.frontends import edge_address
-
-    timestamp = int(
-        _dt.datetime(
-            month.year, month.month, 1 + sample, 6 * (sample % 4),
-            tzinfo=_dt.timezone.utc,
-        ).timestamp()
-    )
-    hops = (
-        Hop(1, (("192.168.1.1", 1.4),)),
-        Hop(2, ((f"10.{probe.probe_id % 200}.0.1", final_rtt * 0.3),)),
-        Hop(3, ((edge_address(probe.country, probe.probe_id), final_rtt * 0.9),)),
-        Hop(4, ((GPDNS_ADDR, final_rtt),)),
-    )
-    return TracerouteResult(
-        probe_id=probe.probe_id,
-        msm_id=GPDNS_MSM_ID,
-        timestamp=timestamp,
-        dst_addr=GPDNS_ADDR,
-        hops=hops,
-    )
 
 
 def synthesize_gpdns_columns(

@@ -13,12 +13,7 @@ Commands:
   committed ``BENCH_*.json`` baseline; non-zero exit on regression.
 * ``cache info|clear``  -- inspect or empty the persistent dataset cache.
 * ``chaos``             -- run the pipeline under injected faults and
-  print the deterministic resilience report; ``--drill ingest-crash``
-  SIGKILLs real ingest runs at injected points and proves journal
-  replay converges.
-* ``ingest``            -- journal a batch into the durable ingest WAL
-  (journal-before-ack; ``--apply`` rebuilds dirty partitions and
-  checkpoints).
+  print the deterministic resilience report.
 
 Global flags (before the command): ``--trace`` enables span tracing,
 ``--metrics-json PATH`` writes the ``repro.obs/1`` artifact after the
@@ -232,9 +227,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve the API from one process on one port.
 
     The port is bound first, so a taken one fails the command before a
-    journal opens or a world builds.  The server then builds its world
-    (after any journal recovery) before it listens, and fills its
-    artifact plane as each static path is first requested.
+    journal opens or a world builds; an ``--ingest-dir`` another open
+    journal holds fails it before a world builds too.  The server then
+    builds its world (after any journal recovery) before it listens,
+    and fills its artifact plane as each static path is first requested.
     """
     import socket
 
@@ -254,14 +250,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verbose=args.verbose,
     )
     if args.ingest_dir:
+        from repro.ingest.wal import WalLockedError
         from repro.serve.ingestor import enable_ingest
 
-        enable_ingest(
-            server,
-            args.ingest_dir,
-            cache=cache,
-            strict=args.strict,
-        )
+        try:
+            enable_ingest(
+                server,
+                args.ingest_dir,
+                cache=cache,
+                strict=args.strict,
+            )
+        except WalLockedError as exc:
+            print(f"repro serve: cannot open --ingest-dir: {exc}", file=sys.stderr)
+            sock.close()
+            return 1
     print(
         f"serving on http://{args.host}:{sock.getsockname()[1]} "
         "(SIGTERM or Ctrl-C to stop)",
@@ -326,109 +328,8 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.ingest.service import (
-        IngestBacklogError,
-        IngestService,
-        IngestValidationError,
-        apply_ingest,
-    )
-
-    # Construction is recovery: the journal is scanned, torn tails
-    # truncated, and the last checkpoint read before anything new lands.
-    service = IngestService(
-        args.wal_dir,
-        strict=args.strict,
-    )
-    try:
-        if args.file is not None:
-            try:
-                lines = Path(args.file).read_text(encoding="utf-8").splitlines()
-            except OSError as exc:
-                print(f"cannot read batch file: {exc}", file=sys.stderr)
-                return 2
-        elif not sys.stdin.isatty():
-            lines = sys.stdin.read().splitlines()
-        else:
-            lines = []
-        lines = [line for line in lines if line.strip()]
-        meta = {"month": args.month} if args.month else {}
-        receipt = None
-        if lines:
-            try:
-                receipt = service.submit(args.format, lines, meta)
-            except IngestBacklogError as exc:
-                print(
-                    f"rejected: {exc} (retry after {exc.retry_after}s)",
-                    file=sys.stderr,
-                )
-                return 3
-            except (IngestValidationError, ValueError) as exc:
-                print(f"rejected: {exc}", file=sys.stderr)
-                return 2
-            verb = "re-acked duplicate" if receipt.duplicate else "journaled"
-            print(
-                f"{verb} seq {receipt.seq}: {receipt.accepted} records "
-                f"({receipt.quarantined} quarantined) -> "
-                f"{', '.join(receipt.partitions)} [backlog {receipt.backlog}]",
-                file=sys.stderr,
-            )
-        result = None
-        if args.apply and service.backlog() > 0:
-            params = {
-                "ndt_tests_per_month": args.ndt_tests_per_month,
-                "gpdns_samples_per_month": args.gpdns_samples_per_month,
-            }
-            result = apply_ingest(
-                service, _resolve_cache(args), params, strict=args.strict
-            )
-            print(
-                f"applied through seq {result.applied_seq}; artifact "
-                f"fingerprint {result.artifact_fingerprint[:12]}",
-                file=sys.stderr,
-            )
-        elif args.apply:
-            print("journal fully applied; nothing to do", file=sys.stderr)
-        if args.receipt:
-            doc = {
-                "schema": "repro.ingest-run/1",
-                "receipt": receipt.to_dict() if receipt else None,
-                "journaled": service.wal.last_seq,
-                "applied_seq": service.applied_seq,
-                "fingerprints": (
-                    result.fingerprints()
-                    if result is not None
-                    else service.applied_fingerprints
-                ),
-            }
-            path = Path(args.receipt)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            print(f"receipt written to {path}", file=sys.stderr)
-        return 0
-    finally:
-        service.wal.close()
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from pathlib import Path
-
-    if args.drill:
-        from repro.ingest.drill import render_drill, run_ingest_crash_drill
-
-        if args.points:
-            report = run_ingest_crash_drill(points=tuple(args.points))
-        else:
-            report = run_ingest_crash_drill()
-        print(render_drill(report))
-        if args.out:
-            Path(args.out).write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"chaos report written to {args.out}", file=sys.stderr)
-        return 0 if report["passed"] else 1
 
     from repro.faults import run_chaos
 
@@ -660,77 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the repro.chaos/1 JSON report to PATH",
     )
-    chaos.add_argument(
-        "--drill",
-        choices=["ingest-crash"],
-        default=None,
-        help="run a crash drill instead of fault injection: "
-        "'ingest-crash' SIGKILLs real ingest subprocesses at every "
-        "injected point and proves journal replay converges to the "
-        "uninterrupted fingerprints",
-    )
-    chaos.add_argument(
-        "--points",
-        action="append",
-        choices=["post-ack", "mid-rebuild", "mid-swap"],
-        default=None,
-        metavar="POINT",
-        help="restrict --drill ingest-crash to these crash points; "
-        "repeatable (default: all three)",
-    )
     chaos.set_defaults(fn=_cmd_chaos)
-
-    ingest = sub.add_parser(
-        "ingest",
-        help="journal a batch into the durable ingest WAL "
-        "(journal-before-ack, idempotent on content hash)",
-    )
-    ingest.add_argument(
-        "format",
-        choices=["atlas", "ndt", "peeringdb"],
-        help="wire format of the batch",
-    )
-    ingest.add_argument(
-        "file",
-        nargs="?",
-        default=None,
-        metavar="FILE",
-        help="batch file (JSONL for ndt/atlas, one JSON dump for "
-        "peeringdb); omitted: read stdin, or — with --apply — just "
-        "recover and apply the existing journal",
-    )
-    ingest.add_argument(
-        "--wal-dir",
-        required=True,
-        metavar="DIR",
-        help="write-ahead-log directory (created on first append)",
-    )
-    ingest.add_argument(
-        "--month",
-        default=None,
-        metavar="YYYY-MM",
-        help="target month for peeringdb dumps (required by that format)",
-    )
-    ingest.add_argument(
-        "--apply",
-        action="store_true",
-        help="after journaling, rebuild dirty partitions, refresh the "
-        "artifact fingerprints, and commit the checkpoint",
-    )
-    ingest.add_argument(
-        "--receipt",
-        metavar="PATH",
-        default=None,
-        help="write a repro.ingest-run/1 JSON receipt (ack + checkpoint "
-        "fingerprints) to PATH",
-    )
-    ingest.add_argument(
-        "--ndt-tests-per-month", type=_positive_int, default=40
-    )
-    ingest.add_argument(
-        "--gpdns-samples-per-month", type=_positive_int, default=2
-    )
-    ingest.set_defaults(fn=_cmd_ingest)
     return parser
 
 

@@ -76,7 +76,7 @@ from repro.macro.store import IndicatorStore
 from repro.macro.synthetic import synthesize_macro
 from repro.mlab.columns import NDTColumns
 from repro.mlab.synthetic import NDTLoadModel, synthesize_ndt_columns
-from repro.obs import get_registry, timed
+from repro.obs import get_logger, get_registry, timed
 from repro.offnets.as2org import OrgMap
 from repro.offnets.records import OffnetArchive
 from repro.offnets.synthetic import synthesize_offnets, synthesize_org_map
@@ -96,6 +96,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
 
 T = TypeVar("T")
+
+_LOG = get_logger("repro.core.scenario")
 
 #: The read set of the :meth:`Scenario.derive` running in this context,
 #: or None outside one.  A ContextVar, so each thread records its own.
@@ -264,19 +266,11 @@ class Scenario:
         except DatasetDegradedError as err:
             if self.strict:
                 raise
-            registry.counter("scenario.dataset.degraded").inc()
-            return DegradedDataset(
-                name=name,
-                reason=f"dependency {err.name!r} degraded: {err.reason}",
-            )
+            return _degrade(name, f"dependency {err.name!r} degraded: {err.reason}")
         except Exception as exc:
             if self.strict:
                 raise
-            registry.counter("scenario.dataset.degraded").inc()
-            return DegradedDataset(
-                name=name,
-                reason=f"{type(exc).__name__}: {exc}",
-            )
+            return _degrade(name, f"{type(exc).__name__}: {exc}")
 
         if self.cache is not None:
             # store() degrades to None on write errors (ENOSPC and kin);
@@ -537,6 +531,13 @@ class Scenario:
         for name in names:
             self.materialise(name)
         return names
+
+
+def _degrade(name: str, reason: str) -> DegradedDataset:
+    """The sentinel of a lenient build that failed, counted and logged."""
+    get_registry().counter("scenario.dataset.degraded").inc()
+    _LOG.warning("scenario.dataset.degraded", dataset=name, reason=reason)
+    return DegradedDataset(name=name, reason=reason)
 
 
 def _partitions(overlay: object | None, name: str) -> list:

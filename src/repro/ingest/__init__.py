@@ -14,14 +14,16 @@ The package has two halves:
   front-end with journal-before-ack at-least-once delivery
   (:mod:`repro.ingest.service`).
 
-Delivery semantics, the journal format, backpressure, and crash
-recovery are documented in ``docs/INGEST.md``; the ``repro chaos
---drill ingest-crash`` harness (:mod:`repro.ingest.drill`) proves the
-recovery story end to end.
+Batches reach the journal through one transport, ``POST
+/v1/ingest/<format>`` on ``repro serve --ingest-dir``.  Delivery
+semantics, the journal format, backpressure, and crash recovery are
+documented in ``docs/INGEST.md``; ``tests/serve/test_crash_recovery.py``
+SIGKILLs a real server at every crash point and proves its restart
+converges on the uninterrupted run.
 
-Heavier submodules (service, overlay, drill) are imported lazily by
-their users; importing ``repro.ingest`` itself stays as cheap as the
-old single-module form so parser hot paths pay nothing new.
+Heavier submodules (service, overlay) are imported lazily by their
+users; importing ``repro.ingest`` itself stays as cheap as the old
+single-module form so parser hot paths pay nothing new.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Wire-format adapters behind ``repro ingest`` and ``POST /v1/ingest``.
+"""Wire-format adapters behind ``POST /v1/ingest/<format>``.
 
 One adapter per appendable feed. Each knows how to
 

@@ -19,7 +19,7 @@ out of materialisation and
 Untouched datasets pass through unchanged, untouched partitions report
 cache hits, and because the merge is a pure function of (base, shards),
 an incremental refresh is byte-identical to a full cold rebuild under
-the same overlay — the acceptance property the drill verifies via
+the same overlay — the property crash recovery is checked against via
 :func:`dataset_fingerprint`.
 """
 
@@ -195,8 +195,8 @@ def dataset_fingerprint(value) -> str:
     """Content digest of one materialised dataset value.
 
     Columnar values hash their kind, pools, and raw buffers; anything
-    else hashes its pickle.  Used by the crash drill to prove a
-    recovered world converges on the uninterrupted one.
+    else hashes its pickle.  The checkpoint records these, so a
+    recovered world can be shown to converge on the uninterrupted one.
     """
     import numpy as np
 

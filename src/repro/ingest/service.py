@@ -1,7 +1,8 @@
 """The durable ingestion front-end: journal-before-ack, bounded backlog.
 
-:class:`IngestService` sits between the transports (``repro ingest``,
-``POST /v1/ingest/<format>``) and the journal.  A submission is
+:class:`IngestService` sits between the transport (``POST
+/v1/ingest/<format>`` on ``repro serve --ingest-dir``) and the journal.
+A submission is
 
 1. **admitted** — rejected with :class:`IngestBacklogError` (HTTP 429 +
    Retry-After) when the un-applied backlog is at the bound, so a slow
@@ -22,8 +23,9 @@ work begins.
 
 Crash-point injection: when ``REPRO_INGEST_CRASH`` names one of
 :data:`CRASH_POINTS`, :func:`maybe_crash` SIGKILLs the process at that
-point — the hooks the ``repro chaos --drill ingest-crash`` harness
-drives to prove recovery converges (see ``docs/RELIABILITY.md``).
+point — the hooks ``tests/serve/test_crash_recovery.py`` and CI arm on
+a real ``repro serve`` to prove its restart converges (see
+``docs/RELIABILITY.md``).
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ RETRY_AFTER_SECONDS = 5
 def maybe_crash(point: str) -> None:
     """SIGKILL the process if the injected crash point is *point*.
 
-    SIGKILL, not an exception: the drill must exercise real torn state
-    (no ``finally`` blocks, no atexit, no flushing) exactly as a power
-    loss or OOM kill would leave it.
+    SIGKILL, not an exception: a crash test must exercise real torn
+    state (no ``finally`` blocks, no atexit, no flushing) as an OOM kill
+    leaves it.  The page cache outlives the process, so this is not a
+    power loss.
     """
     if os.environ.get(ENV_CRASH) == point:
         os.kill(os.getpid(), signal.SIGKILL)

@@ -1,17 +1,26 @@
-"""The ``repro.wal/1`` write-ahead journal behind ``repro ingest``.
+"""The ``repro.wal/1`` write-ahead journal behind ``POST /v1/ingest``.
 
 Every accepted append batch is journaled *before* it is acknowledged:
 the record is framed, CRC-checked, written to the current segment, and
-``fsync``'d — only then does the caller see a receipt.  A crash at any
-later point (apply, rebuild, serve swap) therefore never loses an acked
-batch: startup replay re-reads the journal and re-derives the exact
-same ledger.
+``fsync``'d — only then does the caller see a receipt.  A segment's
+first append also fsyncs the journal directory, so the new file's entry
+is as durable as the batch in it.  A crash at any later point (apply,
+rebuild, serve swap) therefore never loses an acked batch: startup
+replay re-reads the journal and re-derives the exact same ledger.
 
 On-disk layout (one directory per journal)::
 
     <root>/wal-00000001.seg        # segment files, rotated by size
     <root>/wal-00000002.seg
     <root>/checkpoint.json         # last applied seq + fingerprints
+    <root>/journal.lock            # flock'd while a journal is open
+
+One open :class:`WriteAheadLog` owns the directory: construction takes
+an exclusive ``flock`` on ``journal.lock`` before it scans, and a
+second opener — in this process or another — gets
+:class:`WalLockedError` instead of acking sequence numbers the first
+already acked or truncating the record it is writing.  :meth:`close`
+releases the lock.
 
 Each record is framed as an 8-byte little-endian header — ``u32 payload
 length`` then ``u32 CRC32(payload)`` — followed by the payload, a
@@ -40,6 +49,7 @@ count the append path; ``wal.replayed`` / ``wal.replay.duplicates`` /
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import struct
@@ -66,11 +76,18 @@ DEFAULT_SEGMENT_BYTES = 1024 * 1024
 
 _CHECKPOINT_NAME = "checkpoint.json"
 
+#: The file a journal flocks; it does not match ``wal-*.seg``.
+_LOCK_NAME = "journal.lock"
+
 _LOG = get_logger("repro.ingest.wal")
 
 
 class WalCorruptionError(RuntimeError):
     """Damage in a non-final segment: committed records follow the hole."""
+
+
+class WalLockedError(RuntimeError):
+    """Another open journal holds the directory's lock."""
 
 
 def idempotency_key(format: str, lines: tuple[str, ...] | list[str]) -> str:
@@ -117,10 +134,15 @@ class ReplayReport:
 class WriteAheadLog:
     """Append-only journal with segment rotation and torn-tail recovery.
 
-    Construction scans the directory and replays existing segments into
-    the in-memory dedupe index (the records themselves are handed to
-    the caller via :meth:`replay`), so a reopened journal immediately
-    refuses duplicate keys and continues the sequence numbering.
+    Construction locks the directory, then scans it and replays
+    existing segments into the in-memory dedupe index (the records
+    themselves are handed to the caller via :meth:`replay`), so a
+    reopened journal immediately refuses duplicate keys and continues
+    the sequence numbering.
+
+    Raises:
+        WalLockedError: another open journal holds the directory.
+        WalCorruptionError: a non-final segment is damaged.
     """
 
     def __init__(
@@ -130,7 +152,13 @@ class WriteAheadLog:
         fsync: bool = True,
     ) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True)
+        except FileExistsError:
+            pass
+        else:
+            if fsync:
+                _fsync_directory(self.root.parent)
         self.max_segment_bytes = max_segment_bytes
         self.fsync = fsync
         self._keys: dict[str, int] = {}
@@ -139,7 +167,12 @@ class WriteAheadLog:
         self._segment_index = 0
         self._segment_size = 0
         self._records: list[WalRecord] = []
-        self._report = self._scan()
+        self._lock = _lock_directory(self.root)
+        try:
+            self._report = self._scan()
+        except BaseException:
+            self.close()
+            raise
 
     # -- recovery ------------------------------------------------------------
 
@@ -274,14 +307,23 @@ class WriteAheadLog:
                 self._segment_index += 1
                 self._segment_size = 0
             path = self.root / f"wal-{self._segment_index:08d}.seg"
+            created = not path.exists()
             self._handle = open(path, "ab")
+            if created and self.fsync:
+                # The new file's directory entry must be as durable as
+                # the batch about to be acked into it.
+                _fsync_directory(self.root)
             self._segment_size = path.stat().st_size
         return self._handle
 
     def close(self) -> None:
+        """Close the open segment and release the directory's lock."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+        if self._lock is not None:
+            self._lock.close()  # closing the descriptor drops the flock
+            self._lock = None
 
     # -- checkpoint ----------------------------------------------------------
 
@@ -314,6 +356,28 @@ class WriteAheadLog:
         if not isinstance(document, dict) or document.get("schema") != WAL_SCHEMA:
             return None
         return document
+
+
+def _lock_directory(root: Path):
+    """An open handle holding the exclusive flock on *root*'s lock file."""
+    handle = open(root / _LOCK_NAME, "ab")
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        handle.close()
+        raise WalLockedError(
+            f"journal {root} is already open (lock held on {_LOCK_NAME})"
+        ) from None
+    return handle
+
+
+def _fsync_directory(path: Path) -> None:
+    """Make *path*'s entries (a created file or directory) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _frames(

@@ -152,7 +152,7 @@ class ServeIngestor:
             get_registry().gauge("ingest.freshness_lag").set(swapped - min(acked))
 
     def join(self, timeout: float | None = None) -> None:
-        """Wait for the background apply thread to drain (tests, drills)."""
+        """Wait for the background apply thread to drain (tests, close)."""
         thread = self._thread
         if thread is not None:
             thread.join(timeout)

@@ -254,19 +254,24 @@ def test_no_cache_flag_skips_the_cache(tmp_path, capsys):
         ["serve", "--max-inflight", "1"],
         ["serve", "--ingest-max-backlog", "1"],
         ["ingest", "ndt", "--wal-dir", "W", "--max-backlog", "1"],
+        ["ingest", "ndt", "--wal-dir", "W"],
+        ["chaos", "--drill", "ingest-crash"],
     ],
     ids=[
         "jobs", "workers", "profile", "trace-sample-rate", "trace-dir",
         "deadline", "max-inflight", "ingest-max-backlog", "max-backlog",
+        "ingest", "drill",
     ],
 )
 def test_there_is_no_jobs_flag(argv):
     # Builds are serial, one process serves one port, cProfile profiles,
     # a server is traced by the global --trace, the thread pool bounds
-    # live work and the ingest backlog bound is fixed: each retired
-    # option or command is a usage error.
+    # live work, the ingest backlog bound is fixed and batches reach the
+    # journal only through a server: each retired option or command is a
+    # usage error.  Parsing alone, so a case that still parsed would not
+    # run its command.
     with pytest.raises(SystemExit) as excinfo:
-        main(argv)
+        build_parser().parse_args(argv)
     assert excinfo.value.code == 2
 
 
@@ -374,41 +379,3 @@ def test_report_bytes_unchanged_by_tracing_and_json_logging(capsys):
     traced = capsys.readouterr().out
     # observability writes to stderr only; stdout stays byte-identical
     assert traced == plain
-
-
-@pytest.mark.parametrize(
-    "batch, code", [("good", 0), ("{broken", 2)], ids=["journaled", "rejected"]
-)
-def test_ingest_closes_its_journal(capsys, tmp_path, batch, code):
-    # Journaled or rejected, the command closes the journal itself: no
-    # descriptor stays open under the WAL directory once it returns, and
-    # none is left for the garbage collector to close (which would warn).
-    import datetime as dt
-    import gc
-    import warnings
-
-    from repro.mlab.ndt import NDTResult
-    from tests.conftest import open_files_under
-
-    if batch == "good":
-        batch = NDTResult(
-            date=dt.date(2023, 7, 5),
-            country="VE",
-            asn=8048,
-            download_mbps=3.5,
-            upload_mbps=1.2,
-            min_rtt_ms=48.0,
-            loss_rate=0.02,
-        ).to_json()
-    batch_file = tmp_path / "batch.jsonl"
-    batch_file.write_text(batch + "\n")
-    wal_dir = tmp_path / "wal"
-    argv = ["--no-cache", "ingest", "ndt", str(batch_file), "--wal-dir", str(wal_dir)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        assert main(argv) == code
-        gc.collect()
-    assert ("journaled seq 1" in capsys.readouterr().err) == (code == 0)
-    assert open_files_under(wal_dir.resolve()) == []
-    unclosed = [str(w.message) for w in caught if str(wal_dir) in str(w.message)]
-    assert unclosed == []

@@ -16,7 +16,7 @@ from repro.core.report import (
 )
 from repro.core.scorecard import build_scorecard
 from repro.faults import FaultPlan
-from repro.obs import get_registry
+from repro.obs import CapturedLogs, configure_logging, get_registry
 
 SMALL = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
 
@@ -117,6 +117,45 @@ def test_dependency_degradation_cascades_without_retry():
     assert isinstance(value, DegradedDataset)
     assert "dependency 'populations' degraded" in value.reason
     assert get_registry().counter("scenario.dataset.degraded").value == 2
+
+
+@pytest.fixture
+def degraded_events():
+    """The ``scenario.dataset.degraded`` records logged while active."""
+    captured = CapturedLogs()
+    configure_logging(format="json", stream=captured)  # reset after each test
+
+    def records():
+        return [
+            r for r in captured.records() if r.get("event") == "scenario.dataset.degraded"
+        ]
+
+    return records
+
+
+def test_a_lenient_failure_logs_one_warning(degraded_events):
+    scenario = _degraded_scenario()
+    for _ in range(2):
+        value = scenario.materialise("cables")
+    (record,) = degraded_events()
+    assert record["level"] == "warning"
+    assert record["logger"] == "repro.core.scenario"
+    assert (record["dataset"], record["reason"]) == ("cables", value.reason)
+
+
+def test_a_cascade_logs_the_dependency_and_the_dependent(degraded_events):
+    scenario = _degraded_scenario(dataset="populations")
+    value = scenario.materialise("offnets")
+    parent, child = degraded_events()
+    assert parent["dataset"] == "populations"
+    assert (child["dataset"], child["reason"]) == ("offnets", value.reason)
+
+
+def test_a_strict_failure_raises_and_logs_nothing(degraded_events):
+    broken = Scenario(fault_plan=FaultPlan.single("cables", "truncate", seed=42), **SMALL)
+    with pytest.raises(Exception):
+        broken.cables
+    assert degraded_events() == []
 
 
 # -- exhibits and report -------------------------------------------------------

@@ -1,14 +1,18 @@
 """The ``repro.wal/1`` journal: framing, durability, dedupe, rotation."""
 
 import json
+import os
+import stat
 import struct
 import zlib
 
 import pytest
 
+from repro.ingest import wal as wal_module
 from repro.ingest.wal import (
     WAL_SCHEMA,
     WalCorruptionError,
+    WalLockedError,
     WriteAheadLog,
     idempotency_key,
 )
@@ -146,3 +150,64 @@ def test_append_counters(tmp_path):
     registry = get_registry()
     assert registry.counter("wal.appends").value == 1
     assert registry.counter("wal.bytes").value > 0
+
+
+def test_a_second_opener_is_refused_until_close(tmp_path):
+    # Two open journals on one directory would ack the same seq for
+    # different batches, and the second's scan could truncate the
+    # first's record in flight as a torn tail.
+    wal = WriteAheadLog(tmp_path / "wal")
+    wal.append("ndt", _lines(2))
+    with pytest.raises(WalLockedError, match=str(tmp_path / "wal")):
+        WriteAheadLog(tmp_path / "wal")
+    wal.close()
+    reopened = WriteAheadLog(tmp_path / "wal")
+    assert reopened.append("ndt", _lines(2, "b")).seq == 2
+    reopened.close()
+    assert [p.name for p in reopened.segments()] == ["wal-00000001.seg"]
+
+
+def test_a_refused_scan_releases_the_lock(tmp_path):
+    wal = WriteAheadLog(tmp_path / "wal", max_segment_bytes=256)
+    for i in range(4):
+        wal.append("ndt", [json.dumps({"i": i, "pad": "x" * 64})])
+    wal.close()
+    first = wal.segments()[0]
+    first.write_bytes(b"\xff" + first.read_bytes()[1:])
+    for _ in range(2):  # the failed open did not keep the lock
+        with pytest.raises(WalCorruptionError):
+            WriteAheadLog(tmp_path / "wal", max_segment_bytes=256)
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Whether each fd ``repro.ingest.wal`` fsyncs is a directory."""
+    calls = []
+    real = os.fsync
+
+    def recording(fd):
+        calls.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real(fd)
+
+    monkeypatch.setattr(wal_module.os, "fsync", recording)
+    return calls
+
+
+def test_a_new_segment_fsyncs_its_directory(tmp_path, fsyncs):
+    wal = WriteAheadLog(tmp_path / "wal")
+    assert fsyncs == [True]  # the parent of the created journal directory
+    fsyncs.clear()
+    wal.append("ndt", _lines(2))
+    assert sorted(fsyncs) == [False, True]  # the segment and its directory
+    fsyncs.clear()
+    wal.append("ndt", _lines(2, "b"))
+    assert fsyncs == [False]  # same segment: its entry is already durable
+    wal.close()
+
+
+def test_no_fsync_means_no_directory_fsync(tmp_path, fsyncs):
+    wal = WriteAheadLog(tmp_path / "wal", fsync=False)
+    wal.append("ndt", _lines(2))
+    wal.append("ndt", _lines(2, "b"))
+    wal.close()
+    assert fsyncs == []

@@ -74,11 +74,11 @@ def test_truncation_at_every_byte_of_the_final_record(tmp_path):
         # Recovery truncated the torn bytes: the journal accepts a fresh
         # append that lands as the next committed record.
         result = wal.append("ndt", [json.dumps({"row": "post-recovery", "cut": cut})])
+        wal.close()
         assert result.seq == COMMITTED + 1
         assert not result.duplicate
         records, _ = WriteAheadLog(root).replay()
         assert len(records) == COMMITTED + 1
-        wal.close()
 
 
 def test_corruption_at_every_byte_of_the_final_record(tmp_path):

@@ -7,11 +7,18 @@ background event-loop thread; the ``aio_served`` factory boots servers
 over the sealed session plane, and the ``served`` factory boots
 servers that fill their plane on first request.  Every boot is drained
 at teardown.
+
+:func:`repro` starts ``repro serve`` as a process instead, in its own
+session (:func:`tests.subproc.launch`); :func:`request` and
+:func:`healthz` talk to it with bounded waits.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
+import socket
 import threading
 import time
 from typing import Callable
@@ -23,6 +30,7 @@ from repro.serve.aio import AioServer
 from repro.serve.artifacts import build_artifact_store
 from repro.serve.handlers import ServeContext
 from repro.serve.pool import ScenarioPool
+from tests.subproc import launch
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +61,46 @@ def boot(server: AioServer) -> Callable[[], None]:
         thread.join(timeout=30)
 
     return stop
+
+
+def free_port() -> int:
+    """A port nothing listens on right now."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def repro(*argv: str):
+    """``python -m repro *argv`` in its own session."""
+    return launch(f"from repro.cli import main; raise SystemExit(main({list(argv)!r}))")
+
+
+def request(
+    port: int, path: str, body: bytes | None = None
+) -> tuple[int, dict[str, str], bytes]:
+    """GET *path* on a local port, or POST *body* to it."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        connection.request("GET" if body is None else "POST", path, body=body)
+        response = connection.getresponse()
+        return response.status, dict(response.getheaders()), response.read()
+    finally:
+        connection.close()
+
+
+def healthz(session, port: int, timeout: float = 300.0) -> dict:
+    """The first 200 ``/healthz`` payload; fails if the server exits first."""
+    deadline = time.monotonic() + timeout
+    while True:
+        assert session.process.poll() is None, session.stderr()[-2000:]
+        try:
+            status, _, body = request(port, "/healthz")
+            if status == 200:
+                return json.loads(body)["data"]
+        except OSError:
+            pass
+        assert time.monotonic() < deadline, "server not healthy in time"
+        time.sleep(0.1)
 
 
 def seeded_context(scenario, params=None) -> ServeContext:
