@@ -8,7 +8,9 @@ Commands:
 * ``scorecard <cc>``    -- regional scorecard for one LACNIC country.
 * ``export <dir>``      -- write every dataset in its wire format.
 * ``serve``             -- serve exhibits/report/scorecards over HTTP.
-* ``stats``             -- profile a scenario build + full exhibit run.
+* ``stats``             -- profile a scenario build + full exhibit run
+  (``repro --no-cache stats`` to time the exhibits' compute: on a warm
+  cache they load from their entries and record no run).
 * ``bench gate``        -- compare a fresh benchmark artifact against a
   committed ``BENCH_*.json`` baseline; non-zero exit on regression.
 * ``cache info|clear``  -- inspect or empty the persistent dataset cache.
@@ -487,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(fn=_cmd_validate)
 
     stats = sub.add_parser(
-        "stats", help="profile a scenario build and full exhibit run"
+        "stats",
+        help="profile a scenario build and full exhibit run (exhibits loaded "
+        "from the cache record no run: `repro --no-cache stats` profiles compute)",
     )
     stats.add_argument("--ndt-tests-per-month", type=_positive_int, default=40)
     stats.add_argument("--gpdns-samples-per-month", type=_positive_int, default=2)

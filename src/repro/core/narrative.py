@@ -14,14 +14,14 @@ report.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
 from repro.core import shared
 from repro.core.degrade import DatasetDegradedError
 from repro.core.report import degraded_note
-from repro.core.scenario import Scenario
+from repro.core.scenario import Persist, Scenario
 from repro.registry.address_plan import AS_CANTV
 from repro.timeseries.month import Month
 
@@ -134,12 +134,14 @@ def all_findings(scenario: Scenario) -> list[Finding]:
     Each finding is memoized on the scenario (:meth:`Scenario.derive`),
     a degradation placeholder too: it carries the reads that raised, so
     a world that inherits from this one recomputes it once the dataset
-    is rebuilt.
+    is rebuilt.  Findings are persisted in the dataset cache;
+    placeholders are not.
     """
     return [
         scenario.derive(
             ("finding", finding.__name__),
             partial(_finding_or_placeholder, scenario, finding),
+            _PERSIST,
         )
         for finding in (
             infrastructure_finding,
@@ -148,6 +150,9 @@ def all_findings(scenario: Scenario) -> list[Finding]:
             dns_finding,
         )
     ]
+
+
+_PERSIST = Persist(__name__, asdict, lambda doc: Finding(**doc))
 
 
 def format_findings(findings: list[Finding]) -> str:

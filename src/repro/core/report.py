@@ -14,9 +14,11 @@ degraded the report is byte-identical to the historical output.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from repro.core.degrade import DatasetDegradedError
 from repro.core.exhibit import Exhibit, exhibit_ids, get_exhibit
-from repro.core.scenario import Scenario
+from repro.core.scenario import Persist, Scenario
 from repro.obs import get_registry, timed, trace_span
 
 #: Note prefix marking an exhibit that could not run (used by the chaos
@@ -38,8 +40,9 @@ def run_exhibit(scenario: Scenario, exhibit_id: str) -> Exhibit:
     """One exhibit of a scenario, computed on its first request.
 
     The result is memoized on the scenario (:meth:`Scenario.derive`),
-    so ``/v1/report`` and ``/v1/exhibit/<id>`` share one computation;
-    the timer and counter record computations, not memo hits.
+    so ``/v1/report`` and ``/v1/exhibit/<id>`` share one computation,
+    and persisted in its dataset cache, keyed on the exhibit's module;
+    the timer and counter record computations, not memo or cache hits.
 
     A :class:`DatasetDegradedError` out of the exhibit function becomes
     an empty placeholder exhibit (``degraded:`` note) rather than a
@@ -62,7 +65,8 @@ def run_exhibit(scenario: Scenario, exhibit_id: str) -> Exhibit:
         get_registry().counter("exhibit.runs").inc()
         return exhibit
 
-    return scenario.derive(("exhibit", exhibit_id), compute)
+    persist = Persist(fn.__module__, asdict, lambda doc: Exhibit(**doc))
+    return scenario.derive(("exhibit", exhibit_id), compute, persist)
 
 
 def _placeholder_title(exhibit_id: str) -> str:

@@ -21,6 +21,13 @@ so every read passes through them and is recorded against the
 ``derive`` running at the time: the memo keeps each value's dataset
 reads beside it.
 
+The values the artifacts are made from (each exhibit, finding and
+scorecard panel) are also persisted in the dataset cache, keyed on the
+code that computes them; each entry records the cache key of every
+dataset its value read, and a load whose keys no longer match is a
+miss.  A world with an ingest overlay or a fault plan neither reads nor
+writes them (see ``docs/PERFORMANCE.md``).
+
 A scenario starts with what it inherits; nothing is invalidated in
 place.  :meth:`Scenario.inherit` lets a fresh world (an ingest apply's
 overlay scenario) take from the world being served every dataset whose
@@ -52,11 +59,12 @@ instead of the synthetic generators.
 
 from __future__ import annotations
 
+import json
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Hashable, TypeVar
 
 from repro.apnic.model import APNICEstimates
 from repro.apnic.synthetic import synthesize_populations
@@ -111,6 +119,22 @@ def _note_reads(reads: "set[str] | frozenset[str]") -> None:
     outer = _READS.get()
     if outer is not None:
         outer |= reads
+
+
+@dataclass(frozen=True)
+class Persist:
+    """How :meth:`Scenario.derive` stores one value in the dataset cache.
+
+    Attributes:
+        module: The module that defines the computation; its source and
+            :data:`repro.exec.dag.DERIVED_MODULES` key the entry.
+        encode: The value as JSON data.
+        decode: The value back from that data.
+    """
+
+    module: str
+    encode: Callable[[Any], object]
+    decode: Callable[[Any], Any]
 
 
 class dataset_property(cached_property):
@@ -295,7 +319,9 @@ class Scenario:
 
     # -- derived values ------------------------------------------------------
 
-    def derive(self, key: Hashable, thunk: Callable[[], T]) -> T:
+    def derive(
+        self, key: Hashable, thunk: Callable[[], T], persist: Persist | None = None
+    ) -> T:
         """The value *thunk* computes from this scenario, computed once.
 
         The analysis-level twin of :meth:`_build`, with the same
@@ -313,11 +339,22 @@ class Scenario:
         the outer one).  The memo lives as long as the scenario.  A
         scenario starts with what it inherits (:meth:`inherit`);
         nothing is invalidated in place.
+
+        With *persist*, a scenario that has a cache and neither an
+        overlay nor a fault plan first looks the value up there
+        (:meth:`_load_derived`) and stores what it computes
+        (:meth:`_store_derived`); a value loaded that way is memoized
+        with the read set it was stored with.
         """
         entry = self._derived.get(key)
         if entry is None:
             with self._lock_for(key, self._derive_locks):
                 entry = self._derived.get(key)
+                slot = None if entry is not None else self._derived_slot(key, persist)
+                if slot is not None:
+                    entry = self._load_derived(slot, persist)  # type: ignore[arg-type]
+                    if entry is not None:
+                        self._derived[key] = entry
                 if entry is None:
                     reads: set[str] = set()
                     token = _READS.set(reads)
@@ -330,9 +367,93 @@ class Scenario:
                         _READS.reset(token)
                         _note_reads(reads)
                     self._derived[key] = (value, frozenset(reads))
+                    if slot is not None:
+                        self._store_derived(slot, persist, value, reads)  # type: ignore[arg-type]
                     return value
         _note_reads(entry[1])
         return entry[0]  # type: ignore[return-value]
+
+    def _derived_slot(
+        self, key: Hashable, persist: Persist | None
+    ) -> "tuple[DatasetCache, str, str] | None":
+        """(cache, entry name, entry key) for *key*, or None if not persisted.
+
+        Only a world with a cache and neither an overlay nor a fault
+        plan persists: the entry key covers no overlay, and ``repro
+        chaos`` must still compute what it reports.
+        """
+        if (
+            persist is None
+            or self.cache is None
+            or self.overlay is not None
+            or self.fault_plan is not None
+        ):
+            return None
+        name = "/".join(map(str, key))  # type: ignore[call-overload]
+        return self.cache, name, self.cache.derived_key(
+            name, self.cache_params(), persist.module
+        )
+
+    def _any_degraded(self, names) -> bool:
+        """Whether a dataset in *names* is degraded in this world."""
+        return any(
+            isinstance(self._materialised.get(name), DegradedDataset) for name in names
+        )
+
+    def _dataset_keys(self, cache: "DatasetCache", names) -> dict[str, str]:
+        """The cache key of each dataset in *names*, under this world's params."""
+        params = self.cache_params()
+        return {name: cache.key(name, params) for name in sorted(names)}
+
+    def _load_derived(
+        self, slot: "tuple[DatasetCache, str, str]", persist: Persist
+    ) -> "tuple[object, frozenset[str]] | None":
+        """The stored (value, reads) in *slot*, or None on a miss.
+
+        A miss is an absent or corrupt entry (the cache quarantines the
+        latter), one whose recorded dataset keys differ from today's, or
+        one that read a dataset degraded in this world (so the report's
+        coverage section and its exhibits agree).
+        """
+        from repro.exec.cache import CacheMiss
+
+        cache, name, entry_key = slot
+        document = cache.load_derived(name, entry_key)
+        if (
+            isinstance(document, CacheMiss)
+            or not set(document["reads"]) <= set(dataset_names())
+            or self._dataset_keys(cache, document["reads"]) != document["reads"]
+            or self._any_degraded(document["reads"])
+        ):
+            get_registry().counter("scenario.derived.miss").inc()
+            return None
+        get_registry().counter("scenario.derived.hit").inc()
+        return persist.decode(document["value"]), frozenset(document["reads"])
+
+    def _store_derived(
+        self,
+        slot: "tuple[DatasetCache, str, str]",
+        persist: Persist,
+        value: object,
+        reads: set[str],
+    ) -> None:
+        """Store *value* in *slot* unless a dataset it read is degraded here.
+
+        A value whose JSON form does not decode back to an equal value
+        is not stored either: a load must give the same bytes.
+        """
+        if self._any_degraded(reads):
+            return
+        encoded = persist.encode(value)
+        try:
+            if persist.decode(json.loads(json.dumps(encoded))) != value:
+                return
+        except (TypeError, ValueError):
+            return
+        cache, name, entry_key = slot
+        document = {"value": encoded, "reads": self._dataset_keys(cache, reads)}
+        if cache.store_derived(name, entry_key, document) is not None:
+            get_registry().counter("scenario.derived.store").inc()
 
     def inherit(self, previous: "Scenario") -> None:
         """Take over what this world shares with *previous*.

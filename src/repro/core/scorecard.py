@@ -15,13 +15,13 @@ count so callers can tell "no data" from "rank not computed".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.core import shared
 from repro.core.degrade import DatasetDegradedError
-from repro.core.scenario import Scenario
+from repro.core.scenario import Persist, Scenario
 from repro.geo.countries import (  # noqa: F401  (UnknownCountryError: re-export)
     LACNIC_CODES,
     UnknownCountryError,
@@ -151,7 +151,8 @@ def build_scorecard(scenario: Scenario, code: str) -> Scorecard:
     """Compute the scorecard for one LACNIC country.
 
     Each panel's rows are computed once per scenario, for every LACNIC
-    country at once (:func:`_panel_rows`); a scorecard indexes them.
+    country at once (:func:`_panel_rows`), and persisted in the dataset
+    cache; a scorecard indexes them.
 
     Args:
         scenario: The world to measure against.
@@ -174,10 +175,19 @@ def build_scorecard(scenario: Scenario, code: str) -> Scorecard:
         ("download speed (Mbps)", partial(shared.median_download_panel, scenario)),
     ]
     rows = [
-        scenario.derive(("scorecard", name), partial(_panel_rows, name, thunk))[code]
+        scenario.derive(
+            ("scorecard", name), partial(_panel_rows, name, thunk), _PERSIST
+        )[code]
         for name, thunk in panels
     ]
     return Scorecard(code=code, name=home.name, rows=rows)
+
+
+_PERSIST = Persist(
+    __name__,
+    lambda rows: {code: asdict(row) for code, row in rows.items()},
+    lambda doc: {code: ScorecardRow(**row) for code, row in doc.items()},
+)
 
 
 def _panel_rows(

@@ -26,6 +26,12 @@ else (PeeringDB snapshots, the cable map, probe registries, panels,
 degradation sentinels) uses ``"kind": "pickle"`` with the pickle bytes
 as a single ``uint8`` column.
 
+The same envelope holds the values derived from the datasets that
+``Scenario.derive`` persists (:meth:`DatasetCache.store_derived`): one
+``uint8`` column of JSON under ``"kind": "json"``, in files named
+``derived-<key prefix>.dat``.  Their key (:meth:`DatasetCache.derived_key`)
+covers the code that computes them instead of a generator's.
+
 Load outcomes are deliberately asymmetric:
 
 * **absent** — no file, a *foreign schema* (e.g. a leftover
@@ -67,7 +73,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.columnar import Columnar, UnknownBatchKind, batch_class
-from repro.exec.dag import code_fingerprint
+from repro.exec.dag import code_fingerprint, derived_fingerprint
 from repro.obs import get_logger, get_registry
 
 #: Envelope schema stamped into (and required from) every entry.
@@ -76,6 +82,9 @@ CACHE_SCHEMA = "repro.cache/2"
 #: ``kind`` value for entries whose payload is a pickle blob instead of
 #: registered column buffers.
 PICKLE_KIND = "pickle"
+
+#: ``kind`` value for a persisted derived value: a JSON document.
+JSON_KIND = "json"
 
 #: Hex digits of the key used in entry filenames (collisions across
 #: different keys of the *same* dataset are resolved by the full key in
@@ -217,9 +226,33 @@ class DatasetCache:
         )
         return hashlib.sha256(document.encode()).hexdigest()
 
+    def derived_key(
+        self, name: str, params: dict[str, object], module: str
+    ) -> str:
+        """The full key of derived value *name* that *module* computes.
+
+        SHA-256 over canonical JSON of (envelope schema, *name*, sorted
+        scenario params, the code fingerprint of *module* and
+        :data:`repro.exec.dag.DERIVED_MODULES`).  The datasets the value
+        read are checked on load instead (see ``Scenario.derive``).
+        """
+        document = json.dumps(
+            {
+                "schema": CACHE_SCHEMA,
+                "derived": name,
+                "params": params,
+                "code": derived_fingerprint(module),
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(document.encode()).hexdigest()
+
     def entry_path(self, name: str, params: dict[str, object]) -> Path:
         """Where the entry for (*name*, *params*) lives on disk."""
         return self.root / f"{name}-{self.key(name, params)[:_KEY_PREFIX_LEN]}.dat"
+
+    def _derived_path(self, key: str) -> Path:
+        return self.root / f"derived-{key[:_KEY_PREFIX_LEN]}.dat"
 
     # -- load / store -------------------------------------------------------
 
@@ -233,7 +266,16 @@ class DatasetCache:
         survives — and reported as a ``corrupt`` miss; the caller
         rebuilds and overwrites the live path.
         """
-        path = self.entry_path(name, params)
+        return self._load(self.entry_path(name, params), name, self.key(name, params))
+
+    def load_derived(self, name: str, key: str) -> object | CacheMiss:
+        """The JSON document stored under derived *key*, or a miss.
+
+        Misses and quarantine work as in :meth:`load`.
+        """
+        return self._load(self._derived_path(key), name, key)
+
+    def _load(self, path: Path, name: str, key: str) -> object | CacheMiss:
         try:
             blob = path.read_bytes()
         except (FileNotFoundError, NotADirectoryError):
@@ -251,7 +293,7 @@ class DatasetCache:
             # Foreign (e.g. v1) entry left over from before an upgrade:
             # a plain miss, not corruption — rebuild, don't quarantine.
             return CacheMiss("absent")
-        if header.get("key") != self.key(name, params):
+        if header.get("key") != key:
             # Filename-prefix collision with a different full key: the
             # entry belongs to another configuration, so it is absent
             # for this one; the rebuild overwrites it.
@@ -288,6 +330,8 @@ class DatasetCache:
         if kind == PICKLE_KIND:
             with _gc_paused():
                 return pickle.loads(arrays["payload"].tobytes())
+        if kind == JSON_KIND:
+            return json.loads(arrays["payload"].tobytes())
         try:
             cls = batch_class(kind)
         except UnknownBatchKind:
@@ -345,12 +389,32 @@ class DatasetCache:
                     pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
                     dtype=np.uint8,
                 )
-            columns = _buffers_pickle(payload)
+            columns = _payload_column(payload)
+        return self._write(path, name, self.key(name, params), kind, meta, columns)
+
+    def store_derived(self, name: str, key: str, document: object) -> Path | None:
+        """Write *document* as JSON under derived *key*; as :meth:`store`."""
+        payload = np.frombuffer(
+            json.dumps(document, separators=(",", ":")).encode(), dtype=np.uint8
+        )
+        columns = _payload_column(payload)
+        return self._write(self._derived_path(key), name, key, JSON_KIND, {}, columns)
+
+    def _write(
+        self,
+        path: Path,
+        name: str,
+        key: str,
+        kind: str,
+        meta: dict[str, Any],
+        columns: list[tuple[dict[str, Any], np.ndarray]],
+    ) -> Path | None:
+        """Write one entry atomically; ``None`` on an absorbed write error."""
         header = json.dumps(
             {
                 "schema": CACHE_SCHEMA,
                 "dataset": name,
-                "key": self.key(name, params),
+                "key": key,
                 "kind": kind,
                 "meta": meta,
                 "columns": [spec for spec, _array in columns],
@@ -361,7 +425,7 @@ class DatasetCache:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=f".{name}-", suffix=".tmp"
+                dir=self.root, prefix=f".{path.stem}-", suffix=".tmp"
             )
             with os.fdopen(fd, "wb") as handle:
                 handle.write(header.encode() + b"\n")
@@ -459,8 +523,8 @@ class DatasetCache:
             pass
 
 
-def _buffers_pickle(payload: np.ndarray) -> list[tuple[dict[str, Any], np.ndarray]]:
-    """The single-column layout of a pickle-kind entry."""
+def _payload_column(payload: np.ndarray) -> list[tuple[dict[str, Any], np.ndarray]]:
+    """The single-column layout of a pickle- or JSON-kind entry."""
     spec = {
         "name": "payload",
         "dtype": payload.dtype.str,

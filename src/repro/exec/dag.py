@@ -8,6 +8,10 @@ implicit in the property bodies; declaring it here lets
 ``Scenario.inherit`` take datasets in dependency order and lets the disk
 cache key a dataset on the code of everything it was derived from.
 
+The values persisted from the datasets (the exhibits, findings and
+scorecard panels) are keyed on code too: :func:`derived_fingerprint`
+hashes the module that defines one plus :data:`DERIVED_MODULES`.
+
 :func:`validate_graph` cross-checks the declaration against
 ``repro.core.scenario.dataset_names`` (and the test suite calls it).
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import inspect
+from pathlib import Path
 
 #: Dataset name -> the datasets its builder reads.  Every Scenario
 #: cached property must appear here, roots with an empty tuple.
@@ -172,6 +176,58 @@ GENERATOR_MODULES: dict[str, tuple[str, ...]] = {
 }
 
 
+#: The library modules a persisted derived value runs, or imports names
+#: from, besides the module that defines it (an exhibit module,
+#: ``repro.core.narrative`` or ``repro.core.scorecard``).  Shared by all
+#: of them: an edit here recomputes every value, an edit to a defining
+#: module only the values it defines.  ``tests/exec/test_derived.py``
+#: traces each computation to keep the list whole.
+DERIVED_MODULES: tuple[str, ...] = (
+    "repro.apnic.model",
+    "repro.apnic.synthetic",
+    "repro.atlas.columns",
+    "repro.atlas.probes",
+    "repro.atlas.traceroute",
+    "repro.bgp.archive",
+    "repro.bgp.asrel",
+    "repro.bgp.prefix2as",
+    "repro.bgp.synthetic",
+    "repro.columnar.batch",
+    "repro.core.exhibit",
+    "repro.core.report",
+    "repro.core.scenario",
+    "repro.core.shared",
+    "repro.geo.airports",
+    "repro.geo.countries",
+    "repro.geo.distance",
+    "repro.geo.venezuela",
+    "repro.ipv6.model",
+    "repro.ixp.coverage",
+    "repro.macro.store",
+    "repro.mlab.aggregate",
+    "repro.mlab.columns",
+    "repro.mlab.ndt",
+    "repro.offnets.analysis",
+    "repro.offnets.as2org",
+    "repro.offnets.records",
+    "repro.peeringdb.archive",
+    "repro.peeringdb.schema",
+    "repro.peeringdb.synthetic",
+    "repro.registry.address_plan",
+    "repro.registry.address_space",
+    "repro.registry.delegation",
+    "repro.rootdns.analysis",
+    "repro.rootdns.naming",
+    "repro.telegeography.model",
+    "repro.timeseries.month",
+    "repro.timeseries.panel",
+    "repro.timeseries.series",
+    "repro.timeseries.stats",
+    "repro.webdeps.analysis",
+    "repro.webdeps.model",
+)
+
+
 class DependencyGraphError(ValueError):
     """The declared DAG disagrees with Scenario, or contains a cycle."""
 
@@ -293,13 +349,37 @@ def code_fingerprint(name: str) -> str:
     invalidates exactly the cache entries that could now be stale.
     """
     cached = _FINGERPRINTS.get(name)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    for module_name in fingerprint_modules(name):
+    if cached is None:
+        cached = _FINGERPRINTS[name] = _source_digest(fingerprint_modules(name))
+    return cached
+
+
+def derived_fingerprint(module: str) -> str:
+    """Version hash of the code behind a derived value *module* defines.
+
+    SHA-256 over the source of *module*, after a digest of the
+    :data:`DERIVED_MODULES` sources that is computed once per process.
+    """
+    cached = _FINGERPRINTS.get(f"derived:{module}")
+    if cached is None:
+        library = _FINGERPRINTS.get("derived")
+        if library is None:
+            library = _FINGERPRINTS["derived"] = _source_digest(DERIVED_MODULES)
+        cached = _source_digest((module,), library)
+        _FINGERPRINTS[f"derived:{module}"] = cached
+    return cached
+
+
+def _source_digest(modules: "list[str] | tuple[str, ...]", prefix: str = "") -> str:
+    """SHA-256 over *prefix*, then the name and source file of each module.
+
+    The file is read directly: ``inspect.getsource`` gives the same
+    text but keeps every file's lines in ``linecache`` for the life of
+    the process.
+    """
+    digest = hashlib.sha256(prefix.encode())
+    for module_name in modules:
         module = importlib.import_module(module_name)
         digest.update(module_name.encode())
-        digest.update(inspect.getsource(module).encode())
-    fingerprint = digest.hexdigest()
-    _FINGERPRINTS[name] = fingerprint
-    return fingerprint
+        digest.update(Path(module.__file__).read_bytes())  # type: ignore[arg-type]
+    return digest.hexdigest()

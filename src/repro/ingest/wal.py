@@ -316,6 +316,12 @@ class WriteAheadLog:
             self._segment_size = path.stat().st_size
         return self._handle
 
+    def __enter__(self) -> "WriteAheadLog":
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        self.close()
+
     def close(self) -> None:
         """Close the open segment and release the directory's lock."""
         if self._handle is not None:

@@ -197,9 +197,10 @@ def test_cache_info_and_clear_commands(tmp_path, capsys):
     assert main(["--cache-dir", str(cache_dir), "cache", "info"]) == 0
     out = capsys.readouterr().out
     assert str(cache_dir) in out
-    assert "entries         : 1" in out  # fig01 touches only macro
+    # fig01 touches only macro: its dataset entry and fig01's own.
+    assert "entries         : 2" in out
     assert main(["--cache-dir", str(cache_dir), "cache", "clear"]) == 0
-    assert "removed 1 cache entry" in capsys.readouterr().out
+    assert "removed 2 cache entries" in capsys.readouterr().out
     assert main(["--cache-dir", str(cache_dir), "cache", "info"]) == 0
     assert "entries         : 0" in capsys.readouterr().out
 
@@ -226,11 +227,58 @@ def test_cache_warm_run_rebuilds_nothing(tmp_path, capsys):
     assert warm_out == cold_out  # byte-identical exhibit output
     cold = metrics_from_json(cold_json.read_text(encoding="utf-8"))
     warm = metrics_from_json(warm_json.read_text(encoding="utf-8"))
-    assert cold["metrics"]["counters"]["scenario.dataset.built"] > 0
-    assert "scenario.dataset.built" not in warm["metrics"]["counters"]
-    assert (
-        warm["metrics"]["counters"]["scenario.cache.hit"]
-        == cold["metrics"]["counters"]["scenario.dataset.built"]
+    cc, wc = cold["metrics"]["counters"], warm["metrics"]["counters"]
+    assert cc["scenario.dataset.built"] > 0
+    assert cc["scenario.derived.store"] == 1
+    # fig01 comes from its own entry: no dataset is built or loaded.
+    assert "scenario.dataset.built" not in wc
+    assert "scenario.cache.hit" not in wc
+    assert "scenario.cache.miss" not in wc
+    assert "exhibit.runs" not in wc
+    assert wc["scenario.derived.hit"] == 1
+
+
+def test_warm_report_materialises_no_dataset_and_runs_no_exhibit(tmp_path, capsys):
+    import repro.obs
+    from repro.obs import get_registry
+
+    cache_dir = tmp_path / "cachedir"
+    assert main(["--cache-dir", str(cache_dir), "report"]) == 0
+    cold_out = capsys.readouterr().out
+    cold = get_registry().snapshot()["counters"]
+    assert cold["scenario.derived.store"] == 23
+    repro.obs.reset()
+    assert main(["--cache-dir", str(cache_dir), "report"]) == 0
+    assert capsys.readouterr().out == cold_out
+    warm = get_registry().snapshot()["counters"]
+    for name in (
+        "scenario.dataset.built",
+        "scenario.cache.hit",
+        "scenario.cache.miss",
+        "exhibit.runs",
+    ):
+        assert warm.get(name, 0) == 0, name
+    assert warm["scenario.derived.hit"] == 23
+
+
+def test_stats_on_a_warm_cache_records_no_exhibit_run(tmp_path, capsys):
+    import repro.obs
+
+    argv = [
+        "--cache-dir", str(tmp_path / "cachedir"),
+        "stats", "--ndt-tests-per-month", "1", "--gpdns-samples-per-month", "1",
+    ]
+    assert main(argv) == 0
+    assert "across 23" in capsys.readouterr().out
+    repro.obs.reset()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    exhibit_table = out.split("exhibit runs", 1)[1].split("\n\n", 1)[0]
+    assert "(none recorded)" in exhibit_table
+    assert "scenario.derived.hit" in out
+    assert any(
+        line.split()[:2] == ["scenario.derived.hit", "23"]
+        for line in out.splitlines()
     )
 
 

@@ -79,13 +79,17 @@ def test_column_batches_skip_pickle_on_disk(tmp_path, scenario):
 
 
 def test_warm_report_unpickles_only_the_pickle_entries(tmp_path, monkeypatch):
-    # A warm report loads 15 datasets; the six columnar ones are buffer
-    # views, so only the other nine go through pickle.loads.
+    # The 15 datasets a report reads (all but root_deployment, which only
+    # the chaos_observations builder reads) load warm; the six columnar
+    # ones are buffer views, so only the other nine go through
+    # pickle.loads.  A warm report itself loads none of them: its 23
+    # exhibits come from their JSON entries, so it unpickles nothing.
     import pickle
 
     import repro.obs
     from repro.core import Scenario
     from repro.core.report import run_all
+    from repro.core.scenario import dataset_names
 
     small = {"ndt_tests_per_month": 1, "gpdns_samples_per_month": 1}
     cache = DatasetCache(tmp_path / "c")
@@ -99,10 +103,20 @@ def test_warm_report_unpickles_only_the_pickle_entries(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pickle, "loads", counting_loads)
     repro.obs.reset()
-    run_all(Scenario(cache=cache, strict=False, **small))
+    warm = Scenario(cache=cache, strict=False, **small)
+    for name in dataset_names():
+        if name != "root_deployment":
+            warm.materialise(name)
     assert get_registry().counter("scenario.cache.hit").value == 15
     assert get_registry().counter("scenario.dataset.built").value == 0
     assert len(loads) == 9
+
+    loads.clear()
+    repro.obs.reset()
+    run_all(Scenario(cache=cache, strict=False, **small))
+    assert get_registry().counter("scenario.derived.hit").value == 23
+    assert get_registry().counter("scenario.cache.hit").value == 0
+    assert loads == []
 
 
 def test_loaded_batch_views_are_zero_copy_reads(tmp_path, scenario):

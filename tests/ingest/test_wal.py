@@ -31,8 +31,8 @@ def test_append_then_replay_round_trips(tmp_path):
     assert not first.duplicate
     wal.close()
 
-    reopened = WriteAheadLog(tmp_path / "wal")
-    records, report = reopened.replay()
+    with WriteAheadLog(tmp_path / "wal") as reopened:
+        records, report = reopened.replay()
     assert [r.seq for r in records] == [1, 2]
     assert records[0].format == "ndt"
     assert records[0].lines == tuple(_lines(3))
@@ -53,7 +53,8 @@ def test_duplicate_content_is_a_no_op(tmp_path):
     assert wal.last_seq == 1
     assert get_registry().counter("wal.duplicates").value == 1
     # The duplicate wrote nothing: the journal holds exactly one frame.
-    records, _ = WriteAheadLog(tmp_path / "wal").replay()
+    with WriteAheadLog(tmp_path / "wal") as reopened:
+        records, _ = reopened.replay()
     assert len(records) == 1
 
 
@@ -82,7 +83,8 @@ def test_segment_rotation(tmp_path):
         wal.append("ndt", [json.dumps({"i": i, "pad": "x" * 64})])
     assert len(wal.segments()) > 1
     wal.close()
-    records, report = WriteAheadLog(tmp_path / "wal").replay()
+    with WriteAheadLog(tmp_path / "wal") as reopened:
+        records, report = reopened.replay()
     assert [r.seq for r in records] == list(range(1, 9))
     assert report.segments == len(wal.segments())
 
@@ -96,7 +98,8 @@ def test_append_continues_after_rotation_and_reopen(tmp_path):
     result = reopened.append("ndt", [json.dumps({"i": "late"})])
     reopened.close()
     assert result.seq == 7
-    records, _ = WriteAheadLog(tmp_path / "wal").replay()
+    with WriteAheadLog(tmp_path / "wal") as again:
+        records, _ = again.replay()
     assert [r.seq for r in records] == list(range(1, 8))
 
 
@@ -120,27 +123,27 @@ def test_foreign_schema_payload_is_rejected(tmp_path):
     payload = json.dumps({"schema": "other/1", "seq": 1}).encode()
     frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
     (root / "wal-00000001.seg").write_bytes(frame)
-    wal = WriteAheadLog(root)
-    records, report = wal.replay()
+    with WriteAheadLog(root) as wal:
+        records, report = wal.replay()
     assert records == []
     assert report.torn == 1
 
 
 def test_checkpoint_round_trip(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal")
-    assert wal.read_checkpoint() is None
-    wal.write_checkpoint(7, fingerprints={"artifacts": "abc"})
-    document = wal.read_checkpoint()
+    with WriteAheadLog(tmp_path / "wal") as wal:
+        assert wal.read_checkpoint() is None
+        wal.write_checkpoint(7, fingerprints={"artifacts": "abc"})
+        document = wal.read_checkpoint()
     assert document["schema"] == WAL_SCHEMA
     assert document["applied_seq"] == 7
     assert document["fingerprints"] == {"artifacts": "abc"}
 
 
 def test_damaged_checkpoint_reads_as_none(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal")
-    wal.write_checkpoint(3)
-    wal.checkpoint_path().write_text("{not json")
-    assert wal.read_checkpoint() is None
+    with WriteAheadLog(tmp_path / "wal") as wal:
+        wal.write_checkpoint(3)
+        wal.checkpoint_path().write_text("{not json")
+        assert wal.read_checkpoint() is None
 
 
 def test_append_counters(tmp_path):
@@ -165,6 +168,15 @@ def test_a_second_opener_is_refused_until_close(tmp_path):
     assert reopened.append("ndt", _lines(2, "b")).seq == 2
     reopened.close()
     assert [p.name for p in reopened.segments()] == ["wal-00000001.seg"]
+
+
+def test_a_journal_closes_when_its_with_block_ends(tmp_path):
+    with WriteAheadLog(tmp_path / "wal") as wal:
+        wal.append("ndt", _lines(2))
+        with pytest.raises(WalLockedError):
+            WriteAheadLog(tmp_path / "wal")
+    with WriteAheadLog(tmp_path / "wal") as reopened:
+        assert reopened.last_seq == 1
 
 
 def test_a_refused_scan_releases_the_lock(tmp_path):

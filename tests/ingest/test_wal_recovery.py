@@ -33,8 +33,8 @@ def _build_journal(root):
 def _final_record_span(segment):
     """(committed_end, total) byte offsets delimiting the final record."""
     # Reparse the intact segment to find where the committed prefix ends.
-    probe = WriteAheadLog(segment.parent)
-    records, _ = probe.replay()
+    with WriteAheadLog(segment.parent) as probe:
+        records, _ = probe.replay()
     assert len(records) == COMMITTED + 1
     blob = segment.read_bytes()
     # Walk frames: header is 8 bytes, length is the first u32.
@@ -51,6 +51,7 @@ def _final_record_span(segment):
 
 
 def _assert_committed_prefix_survives(root, expect_torn):
+    """Reopen *root*, check its replay, and return the open journal."""
     wal = WriteAheadLog(root)
     records, report = wal.replay()
     assert [r.seq for r in records] == list(range(1, COMMITTED + 1))
@@ -77,7 +78,8 @@ def test_truncation_at_every_byte_of_the_final_record(tmp_path):
         wal.close()
         assert result.seq == COMMITTED + 1
         assert not result.duplicate
-        records, _ = WriteAheadLog(root).replay()
+        with WriteAheadLog(root) as reopened:
+            records, _ = reopened.replay()
         assert len(records) == COMMITTED + 1
 
 
@@ -92,7 +94,7 @@ def test_corruption_at_every_byte_of_the_final_record(tmp_path):
         damaged = bytearray(blob)
         damaged[position] ^= 0xFF
         (root / segment.name).write_bytes(bytes(damaged))
-        _assert_committed_prefix_survives(root, expect_torn=True)
+        _assert_committed_prefix_survives(root, expect_torn=True).close()
 
 
 def test_full_final_record_intact_is_kept(tmp_path):
@@ -100,7 +102,8 @@ def test_full_final_record_intact_is_kept(tmp_path):
     # one survives — recovery only ever drops provably-torn bytes.
     root = tmp_path / "intact"
     _build_journal(root)
-    records, report = WriteAheadLog(root).replay()
+    with WriteAheadLog(root) as wal:
+        records, report = wal.replay()
     assert len(records) == COMMITTED + 1
     assert report.torn == 0
 
@@ -111,13 +114,13 @@ def test_torn_counter_increments(tmp_path):
     committed_end, total = _final_record_span(segment)
     segment.write_bytes(segment.read_bytes()[: total - 1])
     get_registry().reset()
-    WriteAheadLog(root)
+    WriteAheadLog(root).close()
     assert get_registry().counter("wal.torn").value == 1
 
 
 def test_empty_journal_recovers_cleanly(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal")
-    records, report = wal.replay()
+    with WriteAheadLog(tmp_path / "wal") as wal:
+        records, report = wal.replay()
     assert records == []
     assert report.segments == 0
     assert wal.last_seq == 0
